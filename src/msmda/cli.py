@@ -147,25 +147,16 @@ def _print_summary(summary: dict, quiet: bool) -> None:
         print(f"aborted: fold {aborted['fold_id']} seed {aborted['seed']} (non-finite loss)")
 
 
-def _cmd_train(args) -> int:
+def _cmd_run(args) -> int:
     config = _experiment_config(args)
-    log = None if args.quiet else (lambda m: print(m))
-    _print_summary(run_experiment(config, log=log), args.quiet)
-    return 0
-
-
-def _cmd_baseline(args) -> int:
-    config = _experiment_config(args)
-    log = None if args.quiet else (lambda m: print(m))
-    _print_summary(run_baseline_source_combine(config, log=log), args.quiet)
-    return 0
-
-
-def _cmd_ablate(args) -> int:
-    mode = {"mmd": "no_mmd", "disc": "no_disc", "both": "no_both"}[args.ablate]
-    config = _experiment_config(args)
-    log = None if args.quiet else (lambda m: print(m))
-    summary = run_ablation(config, mode, log=log)
+    log = None if args.quiet else print
+    if args.command == "train":
+        summary = run_experiment(config, log=log)
+    elif args.command == "baseline":
+        summary = run_baseline_source_combine(config, log=log)
+    else:
+        mode = {"mmd": "no_mmd", "disc": "no_disc", "both": "no_both"}[args.ablate]
+        summary = run_ablation(config, mode, log=log)
     _print_summary(summary, args.quiet)
     return 0
 
@@ -215,18 +206,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_train = sub.add_parser("train", help="train the multi-branch model over all folds")
-    _add_shared_flags(p_train)
-    p_train.set_defaults(func=_cmd_train)
-
-    p_base = sub.add_parser("baseline", help="source-combine single-branch baseline")
-    _add_shared_flags(p_base)
-    p_base.set_defaults(func=_cmd_baseline)
-
-    p_abl = sub.add_parser("ablate", help="train with loss terms switched off")
-    _add_shared_flags(p_abl)
-    p_abl.add_argument("--ablate", choices=["mmd", "disc", "both"], required=True)
-    p_abl.set_defaults(func=_cmd_ablate)
+    for name, help_text in (
+        ("train", "train the multi-branch model over all folds"),
+        ("baseline", "source-combine single-branch baseline"),
+        ("ablate", "train with loss terms switched off"),
+    ):
+        p_run = sub.add_parser(name, help=help_text)
+        _add_shared_flags(p_run)
+        if name == "ablate":
+            p_run.add_argument("--ablate", choices=["mmd", "disc", "both"], required=True)
+        p_run.set_defaults(func=_cmd_run)
 
     p_gen = sub.add_parser("gen-synth", help="write a synthetic dataset grid as CSV")
     p_gen.add_argument("--synth", metavar="JSON", help="generator config file")

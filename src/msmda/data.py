@@ -395,10 +395,6 @@ class BatchSampler:
         target_idx = self._take(len(self.task.sources))
         return source_batches, self.task.target.features[target_idx]
 
-    def epoch(self, iterations: int):
-        for _ in range(iterations):
-            yield self.next_batch()
-
 
 def load_domain_csv(path, domain_id=(0, 0), num_classes: int | None = None) -> DomainDataset:
     """Parse one domain CSV (header ``f0,...,f{d-1},label``).
@@ -426,6 +422,8 @@ def load_domain_csv(path, domain_id=(0, 0), num_classes: int | None = None) -> D
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
+        if "_" in line:
+            raise ParseError(path, lineno, f"digit-group underscore in {line!r}")
         parts = line.split(",")
         if len(parts) != dim + 1:
             raise ParseError(path, lineno, f"expected {dim + 1} fields, got {len(parts)}")

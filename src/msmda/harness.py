@@ -40,6 +40,7 @@ from .model import (
     ModelConfig,
     MsMdaModel,
     TrainConfig,
+    _forward,
     compute_losses,
     extract_branch_features,
     init_model,
@@ -517,20 +518,10 @@ def composite_gradcheck_case(data_seed: int = 294, model_seed: int = 0, rows: in
     ]
     target = rng.uniform(-1.0, 1.0, (rows, 6))
 
-    slope = model.config.leaky_slope
-    stacked = np.vstack([b[0] for b in batches] + [target])
-    margin = np.inf
-    h = stacked
-    for layer in model.cfe:
-        z = layer.forward(h, cache=False)
-        margin = min(margin, float(np.abs(z).min()))
-        h = leaky_relu(z, slope)
-    probs = []
-    for branch in model.branches:
-        z1 = branch.dsfe.forward(h, cache=False)
-        margin = min(margin, float(np.abs(z1).min()))
-        logits = branch.dsc.forward(leaky_relu(z1, slope), cache=False)
-        probs.append(softmax(logits[3 * rows:]))
+    cfe_pres, branches = _forward(model, np.vstack([b[0] for b in batches] + [target]))
+    branches = list(branches)
+    margin = min(float(np.abs(z).min()) for z in cfe_pres + [z1 for z1, _, _ in branches])
+    probs = [softmax(logits[3 * rows:]) for _, _, logits in branches]
     for i in range(len(probs)):
         for j in range(i + 1, len(probs)):
             margin = min(margin, float(np.abs(probs[i] - probs[j]).min()))

@@ -10,6 +10,7 @@ Inference averages the branch softmax outputs.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -117,15 +118,6 @@ class Branch:
     dsc: LinearLayer
 
 
-@dataclass
-class TrainStepState:
-    """Intermediate tensors of one loss evaluation, for inspection."""
-
-    branch_source_features: list[np.ndarray]
-    branch_target_features: list[np.ndarray]
-    branch_mmd: list[float]
-
-
 class MsMdaModel:
     """Common extractor plus N (feature layer, classifier) branches."""
 
@@ -165,35 +157,39 @@ def init_model(config: ModelConfig) -> MsMdaModel:
     return MsMdaModel(config, cfe, branches)
 
 
-def _cfe_forward(model: MsMdaModel, x: np.ndarray, cache: bool):
-    """Run the common extractor; returns (output, pre-activations)."""
+def _forward(model: MsMdaModel, x: np.ndarray, offsets=None, cache: bool = False):
+    """Extractor pre-activations, plus a lazy iterator of each branch's
+    (pre-activation, features, logits), so only one branch is held at a time.
+
+    With ``offsets`` (row bounds of the stacked sources, then the target)
+    branch i sees its source rows, then the target rows; else every row.
+    """
     slope = model.config.leaky_slope
     pres = []
     h = x
     for layer in model.cfe:
-        z = layer.forward(h, cache=cache)
-        pres.append(z)
-        h = leaky_relu(z, slope)
-    return h, pres
+        pres.append(layer.forward(h, cache=cache))
+        h = leaky_relu(pres[-1], slope)
+
+    def branches():
+        for i, branch in enumerate(model.branches):
+            rows = h if offsets is None else np.vstack(
+                [h[offsets[i]:offsets[i + 1]], h[offsets[-2]:]])
+            z = branch.dsfe.forward(rows, cache=cache)
+            r = leaky_relu(z, slope)
+            yield z, r, branch.dsc.forward(r, cache=cache)
+
+    return pres, branches()
 
 
-def _validate_batches(model, source_batches, target_batch):
-    if len(source_batches) != model.num_branches:
-        raise ValidationError(
-            f"{len(source_batches)} source batches for a {model.num_branches}-branch model"
+def _input_matrix(model: MsMdaModel, x, name: str) -> np.ndarray:
+    """Finite 2-D float64 input with the model's input width."""
+    x = as_matrix(x, name)
+    if x.shape[1] != model.config.input_dim:
+        raise ShapeError(
+            f"{name} has dim {x.shape[1]}, model expects {model.config.input_dim}"
         )
-    dim = model.config.input_dim
-    for i, (feats, labels) in enumerate(source_batches):
-        feats = as_matrix(feats, f"source batch {i}")
-        if feats.shape[1] != dim:
-            raise ShapeError(f"source batch {i} has dim {feats.shape[1]}, expected {dim}")
-        if feats.shape[0] == 0:
-            raise ValidationError(f"source batch {i} is empty")
-    target_batch = as_matrix(target_batch, "target batch")
-    if target_batch.shape[1] != dim:
-        raise ShapeError(f"target batch has dim {target_batch.shape[1]}, expected {dim}")
-    if target_batch.shape[0] == 0:
-        raise ValidationError("target batch is empty")
+    return x
 
 
 def compute_losses(
@@ -204,8 +200,7 @@ def compute_losses(
     beta: float,
     kernel: KernelSpec | None = None,
     accumulate_grads: bool = False,
-    return_state: bool = False,
-):
+) -> LossBreakdown:
     """Forward (and optionally backward) pass of one training step.
 
     Runs the common extractor once on all batches stacked together, then
@@ -216,42 +211,31 @@ def compute_losses(
     parameter's grad buffer (no optimizer step).
     """
     kernel = kernel or KernelSpec()
-    _validate_batches(model, source_batches, target_batch)
-    slope = model.config.leaky_slope
-    n_branches = model.num_branches
-
-    source_feats = [as_matrix(f, "source features") for f, _ in source_batches]
-    source_labels = [labels for _, labels in source_batches]
-    target = as_matrix(target_batch, "target batch")
-    sizes = [f.shape[0] for f in source_feats] + [target.shape[0]]
+    if len(source_batches) != model.num_branches:
+        raise ValidationError(
+            f"{len(source_batches)} source batches for a {model.num_branches}-branch model"
+        )
+    named = [(f, f"source batch {i}") for i, (f, _) in enumerate(source_batches)]
+    feats = []
+    for f, name in named + [(target_batch, "target batch")]:
+        feats.append(_input_matrix(model, f, name))
+        if feats[-1].shape[0] == 0:
+            raise ValidationError(f"{name} is empty")
+    sizes = [f.shape[0] for f in feats]
     offsets = np.concatenate([[0], np.cumsum(sizes)])
+    slope = model.config.leaky_slope
 
-    stacked = np.vstack(source_feats + [target])
-    q, cfe_pres = _cfe_forward(model, stacked, cache=accumulate_grads)
-    q_target = q[offsets[-2]:offsets[-1]]
-
-    branch_logits_src = []
-    branch_probs_tgt = []
-    branch_state = []
-    mmd_values = []
-    mmd_grads = []
-    for i, branch in enumerate(model.branches):
-        q_src = q[offsets[i]:offsets[i + 1]]
-        joined = np.vstack([q_src, q_target])
-        z1 = branch.dsfe.forward(joined, cache=accumulate_grads)
-        r = leaky_relu(z1, slope)
-        n_src = q_src.shape[0]
-        r_src, r_tgt = r[:n_src], r[n_src:]
-        value, g_src, g_tgt = mmd_squared(r_src, r_tgt, kernel)
+    cfe_pres, branches = _forward(model, np.vstack(feats), offsets, cache=accumulate_grads)
+    saved, logits_src, probs_tgt, mmd_values = [], [], [], []
+    for (z1, r, logits), n_src in zip(branches, sizes):
+        value, g_src, g_tgt = mmd_squared(r[:n_src], r[n_src:], kernel)
         mmd_values.append(value)
-        mmd_grads.append((g_src, g_tgt))
-        logits = branch.dsc.forward(r, cache=accumulate_grads)
-        branch_logits_src.append(logits[:n_src])
-        branch_probs_tgt.append(softmax(logits[n_src:]))
-        branch_state.append((z1, n_src, r_src, r_tgt))
+        saved.append((z1, g_src, g_tgt))
+        logits_src.append(logits[:n_src])
+        probs_tgt.append(softmax(logits[n_src:]))
 
-    cls_value, cls_grads = classification_loss(branch_logits_src, source_labels)
-    disc_value, disc_grads = discrepancy_loss(branch_probs_tgt)
+    cls_value, cls_grads = classification_loss(logits_src, [y for _, y in source_batches])
+    disc_value, disc_grads = discrepancy_loss(probs_tgt)
     mmd_value = float(np.mean(mmd_values))
     finite = all(math.isfinite(v) for v in (cls_value, mmd_value, disc_value))
     if finite:
@@ -262,29 +246,20 @@ def compute_losses(
                                   total=float("nan"), alpha=alpha, beta=beta)
 
     if accumulate_grads and finite:
-        grad_q = np.zeros_like(q)
-        for i, branch in enumerate(model.branches):
-            z1, n_src, _, _ = branch_state[i]
-            g_logits_tgt = softmax_backward(beta * disc_grads[i], branch_probs_tgt[i])
+        grad_q = np.zeros_like(cfe_pres[-1])
+        for i, (branch, n_src) in enumerate(zip(model.branches, sizes)):
+            z1, g_src, g_tgt = saved[i]
+            g_logits_tgt = softmax_backward(beta * disc_grads[i], probs_tgt[i])
             g_r = branch.dsc.backward(np.vstack([cls_grads[i], g_logits_tgt]))
-            g_src, g_tgt = mmd_grads[i]
             # mmd component is the branch mean, so each branch carries alpha/N
-            g_r[:n_src] += (alpha / n_branches) * g_src
-            g_r[n_src:] += (alpha / n_branches) * g_tgt
+            g_r[:n_src] += (alpha / model.num_branches) * g_src
+            g_r[n_src:] += (alpha / model.num_branches) * g_tgt
             g_joined = branch.dsfe.backward(leaky_relu_backward(g_r, z1, slope))
             grad_q[offsets[i]:offsets[i + 1]] += g_joined[:n_src]
             grad_q[offsets[-2]:offsets[-1]] += g_joined[n_src:]
         g = grad_q
         for layer, z in zip(reversed(model.cfe), reversed(cfe_pres)):
             g = layer.backward(leaky_relu_backward(g, z, slope))
-
-    if return_state:
-        state = TrainStepState(
-            branch_source_features=[s[2] for s in branch_state],
-            branch_target_features=[s[3] for s in branch_state],
-            branch_mmd=mmd_values,
-        )
-        return breakdown, state
     return breakdown
 
 
@@ -296,9 +271,6 @@ def train_step(
     beta: float,
     lr: float = 0.01,
     kernel: KernelSpec | None = None,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> LossBreakdown:
     """One full optimization step: losses, backprop, Adam on every parameter.
 
@@ -312,7 +284,7 @@ def train_step(
     if not math.isfinite(breakdown.total):
         return breakdown
     for param in model.parameters():
-        adam_step(param, lr, beta1=beta1, beta2=beta2, eps=eps)
+        adam_step(param, lr)
     return breakdown
 
 
@@ -322,17 +294,8 @@ def predict(model: MsMdaModel, target_features):
     Returns (avg_probs, labels, per_branch_probs) without touching any
     cached layer state.
     """
-    x = as_matrix(target_features, "target features")
-    if x.shape[1] != model.config.input_dim:
-        raise ShapeError(
-            f"features have dim {x.shape[1]}, model expects {model.config.input_dim}"
-        )
-    slope = model.config.leaky_slope
-    q, _ = _cfe_forward(model, x, cache=False)
-    per_branch = []
-    for branch in model.branches:
-        r = leaky_relu(branch.dsfe.forward(q, cache=False), slope)
-        per_branch.append(softmax(branch.dsc.forward(r, cache=False)))
+    _, branches = _forward(model, _input_matrix(model, target_features, "target features"))
+    per_branch = [softmax(logits) for _, _, logits in branches]
     avg = np.mean(per_branch, axis=0)
     labels = np.argmax(avg, axis=1).astype(np.int64)
     return avg, labels, per_branch
@@ -344,15 +307,9 @@ def extract_branch_features(model: MsMdaModel, features, branch: int) -> np.ndar
         raise ValidationError(
             f"branch {branch} out of range for {model.num_branches} branches"
         )
-    x = as_matrix(features, "features")
-    if x.shape[1] != model.config.input_dim:
-        raise ShapeError(
-            f"features have dim {x.shape[1]}, model expects {model.config.input_dim}"
-        )
-    slope = model.config.leaky_slope
-    q, _ = _cfe_forward(model, x, cache=False)
-    b = model.branches[branch]
-    return leaky_relu(b.dsfe.forward(q, cache=False), slope)
+    _, branches = _forward(model, _input_matrix(model, features, "features"))
+    _, r, _ = next(itertools.islice(branches, branch, None))
+    return r
 
 
 def save_checkpoint(model: MsMdaModel, path) -> None:
@@ -376,20 +333,17 @@ def save_checkpoint(model: MsMdaModel, path) -> None:
             cfg.rng_seed,
         ))
         fh.write(struct.pack(f"<{len(cfg.cfe_dims)}I", *cfg.cfe_dims))
-        for layer in _traversal(model):
-            for param in (layer.weight, layer.bias):
-                fh.write(np.ascontiguousarray(param.value, dtype="<f8").tobytes())
-
-
-def _traversal(model: MsMdaModel):
-    yield from model.cfe
-    for branch in model.branches:
-        yield branch.dsfe
-        yield branch.dsc
+        for param in model.parameters():
+            fh.write(np.ascontiguousarray(param.value, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path) -> MsMdaModel:
-    """Rebuild a model from a checkpoint; optimizer state starts fresh."""
+    """Rebuild a model from a checkpoint; optimizer state starts fresh.
+
+    The payload size is worked out from the header before anything is
+    allocated, and the layers are filled straight from the payload. Any
+    header or payload value that fails validation is a DataError.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
@@ -406,26 +360,42 @@ def load_checkpoint(path) -> MsMdaModel:
         offset += n_cfe * 4
     except struct.error as exc:
         raise DataError(f"{path}: truncated checkpoint header") from exc
-    config = ModelConfig(
-        num_branches=num_branches,
-        input_dim=input_dim,
-        cfe_dims=cfe_dims,
-        dsfe_dim=dsfe_dim,
-        num_classes=num_classes,
-        leaky_slope=slope,
-        rng_seed=seed,
-    )
-    model = init_model(config)
-    for layer in _traversal(model):
-        for param in (layer.weight, layer.bias):
-            count = param.value.size
-            end = offset + count * 8
-            if end > len(blob):
-                raise DataError(f"{path}: truncated checkpoint payload")
-            param.value[...] = np.frombuffer(
-                blob[offset:end], dtype="<f8"
-            ).reshape(param.value.shape)
-            offset += count * 8
-    if offset != len(blob):
-        raise DataError(f"{path}: {len(blob) - offset} trailing bytes in checkpoint")
-    return model
+    try:
+        config = ModelConfig(
+            num_branches=num_branches,
+            input_dim=input_dim,
+            cfe_dims=cfe_dims,
+            dsfe_dim=dsfe_dim,
+            num_classes=num_classes,
+            leaky_slope=slope,
+            rng_seed=seed,
+        )
+    except ValidationError as exc:
+        raise DataError(f"{path}: bad checkpoint header: {exc}") from exc
+    dims = (input_dim,) + config.cfe_dims
+    cfe_shapes = list(zip(dims, dims[1:]))
+    branch_shapes = [(dims[-1], dsfe_dim), (dsfe_dim, num_classes)]
+    floats = (sum((i + 1) * o for i, o in cfe_shapes)
+              + num_branches * sum((i + 1) * o for i, o in branch_shapes))
+    extra = len(blob) - offset - 8 * floats
+    if extra < 0:
+        raise DataError(f"{path}: truncated checkpoint payload")
+    if extra > 0:
+        raise DataError(f"{path}: {extra} trailing bytes in checkpoint")
+
+    def take(rows, cols):  # a writable copy of the next rows x cols floats
+        nonlocal offset
+        start, offset = offset, offset + 8 * rows * cols
+        values = np.frombuffer(blob, "<f8", rows * cols, start)
+        return values.reshape(rows, cols).astype(np.float64)
+
+    def layer(in_dim, out_dim):
+        return LinearLayer(take(in_dim, out_dim), take(1, out_dim))
+
+    try:
+        cfe = [layer(i, o) for i, o in cfe_shapes]
+        branches = [Branch(*(layer(i, o) for i, o in branch_shapes))
+                    for _ in range(num_branches)]
+    except ValidationError as exc:
+        raise DataError(f"{path}: bad checkpoint payload: {exc}") from exc
+    return MsMdaModel(config, cfe, branches)

@@ -1,9 +1,11 @@
 import json
+import struct
 
 import pytest
 
 from msmda.cli import main
 from msmda.data import load_dataset_grid
+from msmda.model import CHECKPOINT_MAGIC
 
 
 def synth_json(tmp_path, **overrides):
@@ -104,3 +106,12 @@ class TestDumpFeaturesCommand:
         assert code == 0
         files = sorted(feat_dir.iterdir())
         assert [f.name for f in files] == ["branch_00.csv", "branch_01.csv"]
+
+    def test_bad_checkpoint_is_data_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(CHECKPOINT_MAGIC + struct.pack("<IIIIIdq", 8, 1, 6, 3, 2, 5.0, 0)
+                         + struct.pack("<I", 12))
+        code = main(["dump-features", "--synth", synth_json(tmp_path), "--checkpoint",
+                     str(ckpt), "--out", str(tmp_path / "features")] + FAST)
+        assert code == 3
+        assert "leaky_slope" in capsys.readouterr().err

@@ -108,6 +108,18 @@ class TestDomainCsv:
         with pytest.raises(ParseError, match=":3:"):
             load_domain_csv(path)
 
+    def test_underscore_feature_cell_names_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("f0,f1,label\n1.0,2.0,0\n1_0,2.0,1\n")
+        with pytest.raises(ParseError, match=":3:.*underscore"):
+            load_domain_csv(path)
+
+    def test_underscore_label_cell_names_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("f0,label\n1.0,0\n2.0,1_0\n")
+        with pytest.raises(ParseError, match=":3:.*underscore"):
+            load_domain_csv(path)
+
     def test_non_integer_label_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("f0,label\n1.0,0\n2.0,1.5\n")
@@ -409,7 +421,8 @@ class TestBatchSampler:
     def test_batch_shapes(self):
         task = self.make_task()
         sampler = BatchSampler(task, batch_size=4, seed=0)
-        for source_batches, target in sampler.epoch(5):
+        for _ in range(5):
+            source_batches, target = sampler.next_batch()
             assert len(source_batches) == 2
             for feats, labels in source_batches:
                 assert feats.shape == (4, 4)
@@ -420,7 +433,8 @@ class TestBatchSampler:
         task = self.make_task(sizes=(12,), target_size=12)
         sampler = BatchSampler(task, batch_size=4, seed=1)
         seen = []
-        for source_batches, _ in sampler.epoch(3):  # 3 * 4 = domain size
+        for _ in range(3):  # 3 * 4 = domain size
+            source_batches, _ = sampler.next_batch()
             seen.append(source_batches[0][0])
         rows = np.vstack(seen)
         source = task.sources[0].features

@@ -1,4 +1,5 @@
 import copy
+import struct
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from msmda.data import BatchSampler, SynthConfig, generate_synthetic, synthetic_
 from msmda.errors import DataError, ShapeError, ValidationError
 from msmda.losses import KernelSpec, classification_loss
 from msmda.model import (
+    CHECKPOINT_MAGIC,
     ModelConfig,
     TrainConfig,
+    _forward,
     compute_losses,
     extract_branch_features,
     init_model,
@@ -304,22 +307,37 @@ class TestExtractBranchFeatures:
         rng = np.random.default_rng(15)
         model = init_model(TOY)
         batches, target = toy_batches(rng)
-        _, state = compute_losses(model, batches, target, alpha=0.5, beta=0.01,
-                                  kernel=FIXED_KERNEL, return_state=True)
+        # the rows and offsets compute_losses hands to the shared forward
+        feats = [f for f, _ in batches] + [target]
+        offsets = np.concatenate([[0], np.cumsum([f.shape[0] for f in feats])])
+        _, branches = _forward(model, np.vstack(feats), offsets)
+        branch_features = [r for _, r, _ in branches]
         for i in range(3):
+            n_src = batches[i][0].shape[0]
             assert_allclose(
                 extract_branch_features(model, batches[i][0], i),
-                state.branch_source_features[i], rtol=1e-12, atol=1e-15,
+                branch_features[i][:n_src], rtol=1e-12, atol=1e-15,
             )
             assert_allclose(
                 extract_branch_features(model, target, i),
-                state.branch_target_features[i], rtol=1e-12, atol=1e-15,
+                branch_features[i][n_src:], rtol=1e-12, atol=1e-15,
             )
 
     def test_branch_out_of_range(self):
         model = init_model(TOY)
         with pytest.raises(ValidationError):
             extract_branch_features(model, np.zeros((1, 6)), 3)
+
+
+def write_checkpoint_header(path, input_dim=6, cfe_dims=(8, 6, 5), dsfe_dim=4,
+                            num_classes=3, num_branches=3, slope=0.01, payload=b""):
+    path.write_bytes(
+        CHECKPOINT_MAGIC
+        + struct.pack("<IIIIIdq", input_dim, len(cfe_dims), dsfe_dim, num_classes,
+                      num_branches, slope, 0)
+        + struct.pack(f"<{len(cfe_dims)}I", *cfe_dims)
+        + payload
+    )
 
 
 class TestCheckpoint:
@@ -361,6 +379,45 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"extra")
         with pytest.raises(DataError, match="trailing"):
             load_checkpoint(path)
+
+    def test_huge_dims_rejected_before_allocating(self, tmp_path):
+        # (2**32-1)**2 weights: sized from the header, never allocated
+        path = tmp_path / "huge.ckpt"
+        write_checkpoint_header(path, input_dim=2**32 - 1, cfe_dims=(2**32 - 1,),
+                                payload=b"\x00" * 64)
+        with pytest.raises(DataError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_zero_branches_is_data_error(self, tmp_path):
+        path = tmp_path / "zero.ckpt"
+        write_checkpoint_header(path, num_branches=0)
+        with pytest.raises(DataError, match="num_branches"):
+            load_checkpoint(path)
+
+    def test_bad_leaky_slope_is_data_error(self, tmp_path):
+        path = tmp_path / "slope.ckpt"
+        write_checkpoint_header(path, slope=5.0)
+        with pytest.raises(DataError, match="leaky_slope"):
+            load_checkpoint(path)
+
+    def test_non_finite_weight_is_data_error(self, tmp_path):
+        model = init_model(TOY)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        blob = bytearray(path.read_bytes())
+        first_weight = len(CHECKPOINT_MAGIC) + struct.calcsize("<IIIIIdq") + 4 * 3
+        blob[first_weight:first_weight + 8] = struct.pack("<d", float("nan"))
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match="non-finite"):
+            load_checkpoint(path)
+
+    def test_loaded_parameters_are_writable_copies(self, tmp_path):
+        model = init_model(TOY)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        loaded = load_checkpoint(path)
+        for p in loaded.parameters():
+            assert p.value.flags.writeable and p.value.flags.owndata
 
 
 class TestTrainingBehaviour:
