@@ -9,7 +9,9 @@ gradients w.r.t. its matrix inputs.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -18,6 +20,11 @@ from .errors import ShapeError, ValidationError
 from .neuralcore import as_matrix, softmax_cross_entropy
 
 KERNEL_KINDS = ("rbf_multiscale", "rbf_fixed", "linear")
+
+
+def _check_positive(name: str, value) -> None:
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+        raise ValidationError(f"{name} must be a positive finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -41,14 +48,15 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValidationError(f"unknown kernel kind {self.kind!r}")
-        if self.num_scales < 1:
-            raise ValidationError("num_scales must be >= 1")
-        if self.scale_step <= 0:
-            raise ValidationError("scale_step must be positive")
-        if self.fixed_bandwidth <= 0:
-            raise ValidationError("fixed_bandwidth must be positive")
-        if self.bandwidths is not None and any(b <= 0 for b in self.bandwidths):
-            raise ValidationError("all bandwidths must be positive")
+        if not isinstance(self.num_scales, numbers.Integral) or self.num_scales < 1:
+            raise ValidationError(f"num_scales must be an integer >= 1, got {self.num_scales!r}")
+        _check_positive("scale_step", self.scale_step)
+        _check_positive("fixed_bandwidth", self.fixed_bandwidth)
+        if self.bandwidths is not None:
+            if len(self.bandwidths) == 0:
+                raise ValidationError("bandwidths must not be empty")
+            for b in self.bandwidths:
+                _check_positive("every bandwidth", b)
 
     def resolve(self, source, target) -> "KernelSpec":
         """Pin multiscale bandwidths from the data via the median heuristic.
@@ -61,9 +69,7 @@ class KernelSpec:
             return self
         s = np.asarray(source, dtype=np.float64)
         t = np.asarray(target, dtype=np.float64)
-        median = _joint_median(
-            _pairwise_sq_dists(s, s), _pairwise_sq_dists(t, t), _pairwise_sq_dists(s, t)
-        )
+        median = _joint_median(*_sq_dists(s, t))
         return replace(self, bandwidths=self._spread(median))
 
     def _spread(self, base: float) -> tuple[float, ...]:
@@ -83,37 +89,105 @@ class LossBreakdown:
     beta: float
 
 
-def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
-    return np.maximum(sq, 0.0)
+def _block(work, shape, index=0):
+    size = shape[0] * shape[1]
+    return work[index * size : (index + 1) * size].reshape(shape)
 
 
-def _joint_median(d_ss, d_tt, d_st) -> float:
-    """Median pairwise squared distance of the stacked source+target batch."""
-    iu_s = np.triu_indices(d_ss.shape[0], k=1)
-    iu_t = np.triu_indices(d_tt.shape[0], k=1)
-    values = np.concatenate([d_ss[iu_s], d_tt[iu_t], d_st.ravel()])
-    median = float(np.median(values)) if values.size else 0.0
+def _sq_dists(source, target):
+    """(d_ss, d_tt, d_st, scratch), all views of one buffer.
+
+    Distances are (|a_i|^2 + |b_j|^2) - 2 a_i.b_j clamped at zero, rounded
+    in that order so they (and the median bandwidth) match the textbook
+    expression bit for bit. The scratch, two blocks of the largest shape,
+    serves in turn the norm sums, the median's (n+m)(n+m-1)/2 joint pairs
+    and each kernel block; one buffer per call spares fresh page faults.
+    """
+    n, m = len(source), len(target)
+    work = np.empty(n * n + m * m + n * m + 2 * max(n * n, m * m, n * m))
+    scratch = work[n * n + m * m + n * m :]
+    sq_s = (source * source).sum(axis=1)
+    sq_t = (target * target).sum(axis=1)
+    dists, offset = [], 0
+    for a, b, sq_a, sq_b in ((source, source, sq_s, sq_s), (target, target, sq_t, sq_t),
+                             (source, target, sq_s, sq_t)):
+        d = np.matmul(a, b.T, out=_block(work[offset:], (len(a), len(b))))
+        offset += d.size
+        d *= -2.0
+        d += np.add(sq_a[:, None], sq_b, out=_block(scratch, d.shape))
+        dists.append(np.maximum(d, 0.0, out=d))
+    return (*dists, scratch)
+
+
+@functools.lru_cache(maxsize=8)
+def _upper_flat_indices(n: int) -> np.ndarray:
+    """Read-only flat indices of the strict upper triangle of an n x n matrix."""
+    rows, cols = np.triu_indices(n, k=1)
+    flat = rows * n + cols
+    flat.flags.writeable = False
+    return flat
+
+
+def _joint_median(d_ss, d_tt, d_st, work) -> float:
+    """Median pairwise squared distance of the stacked source+target batch.
+
+    Bit for bit ``np.median`` of the strict upper triangles of ``d_ss`` and
+    ``d_tt`` and all of ``d_st``, gathered into ``work`` and selected by one
+    single-``kth`` partition (plus a ``max`` of the lower half for an even
+    count). 1.0 when the median is not positive or any distance is NaN.
+    """
+    iu_s = _upper_flat_indices(d_ss.shape[0])
+    iu_t = _upper_flat_indices(d_tt.shape[0])
+    p_s, p_t = iu_s.size, iu_t.size
+    values = work[: p_s + p_t + d_st.size]
+    if not values.size:
+        return 1.0
+    # the indices are in range by construction; "clip" skips the buffered
+    # bounds-checked path that the default mode takes with out=
+    np.take(d_ss, iu_s, out=values[:p_s], mode="clip")
+    np.take(d_tt, iu_t, out=values[p_s : p_s + p_t], mode="clip")
+    values[p_s + p_t :] = d_st.ravel()
+    half = values.size // 2
+    values.partition(half)
+    # NaN sorts last, so any NaN lies at or above the kth slot
+    if np.isnan(values[half:].max()):
+        return 1.0
+    hi = values[half]
+    median = float(hi if values.size % 2 else (values[:half].max() + hi) / 2.0)
     return median if median > 0.0 else 1.0
 
 
-def _rbf_block(d2, a, b, divisors, coeff, grad_a, grad_b):
+def _rbf_block(d2, a, b, divisors, coeff, grad_a, grad_b, work):
     """Accumulate coeff * mean_scales sum_{i,j} exp(-|a_i - b_j|^2 / div).
 
-    ``d2`` is the precomputed squared-distance matrix for (a, b). The value
-    sums plain kernels; the gradient needs the extra 1/div factor, so both
-    weighted kernel matrices are formed and the matmuls run once per block.
+    ``d2`` is the precomputed squared-distance matrix for (a, b). Divisors
+    are visited widest first; when one is exactly half the one before, its
+    kernel is the previous one squared (exp(-d/b) = exp(-d/2b)^2), otherwise
+    it takes its own ``exp``. The value sums plain kernels; the gradient
+    needs sum_s k_s / div_s, kept as sum_s k_s * div/div_s for the current
+    div (rescaled by div/prev, an exact 0.5 when the divisors halve), so
+    the matmuls run once per block.
     """
-    value_k = np.zeros_like(d2)
-    grad_k = np.zeros_like(d2)
-    for div in divisors:
-        e = np.exp(-d2 / div)
-        value_k += e
-        grad_k += e / div
-    scale = coeff * (-2.0 / len(divisors))
+    e, grad_k = _block(work, d2.shape, 0), _block(work, d2.shape, 1)
+    value = 0.0
+    prev = None
+    for div in sorted(divisors, reverse=True):
+        if prev is not None and div * 2.0 == prev:
+            np.square(e, out=e)
+        else:
+            np.divide(d2, -div, out=e)
+            np.exp(e, out=e)
+        value += float(e.sum())
+        if prev is None:
+            np.copyto(grad_k, e)
+        else:
+            grad_k *= div / prev
+            grad_k += e
+        prev = div
+    scale = coeff * (-2.0 / len(divisors)) / prev
     grad_a += scale * (grad_k.sum(axis=1, keepdims=True) * a - grad_k @ b)
     grad_b += scale * (grad_k.sum(axis=0)[:, None] * b - grad_k.T @ a)
-    return coeff * float(value_k.sum()) / len(divisors)
+    return coeff * value / len(divisors)
 
 
 def mmd_squared(source, target, kernel: KernelSpec | None = None):
@@ -145,19 +219,17 @@ def mmd_squared(source, target, kernel: KernelSpec | None = None):
         grad_t -= (2.0 / m) * diff
         return max(value, 0.0), grad_s, grad_t
 
-    d_ss = _pairwise_sq_dists(source, source)
-    d_tt = _pairwise_sq_dists(target, target)
-    d_st = _pairwise_sq_dists(source, target)
+    d_ss, d_tt, d_st, work = _sq_dists(source, target)
     if kernel.kind == "rbf_fixed":
         divisors = [2.0 * kernel.fixed_bandwidth]
     elif kernel.bandwidths is not None:
         divisors = list(kernel.bandwidths)
     else:
-        divisors = list(kernel._spread(_joint_median(d_ss, d_tt, d_st)))
+        divisors = list(kernel._spread(_joint_median(d_ss, d_tt, d_st, work)))
 
-    value = _rbf_block(d_ss, source, source, divisors, 1.0 / (n * n), grad_s, grad_s)
-    value += _rbf_block(d_tt, target, target, divisors, 1.0 / (m * m), grad_t, grad_t)
-    value += _rbf_block(d_st, source, target, divisors, -2.0 / (n * m), grad_s, grad_t)
+    value = _rbf_block(d_ss, source, source, divisors, 1.0 / (n * n), grad_s, grad_s, work)
+    value += _rbf_block(d_tt, target, target, divisors, 1.0 / (m * m), grad_t, grad_t, work)
+    value += _rbf_block(d_st, source, target, divisors, -2.0 / (n * m), grad_s, grad_t, work)
     return max(value, 0.0), grad_s, grad_t
 
 

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from msmda.errors import ShapeError, ValidationError
 from msmda.losses import (
     KernelSpec,
+    _joint_median,
     alpha_schedule,
     classification_loss,
     discrepancy_loss,
@@ -168,6 +169,196 @@ class TestMmdSquared:
             KernelSpec(num_scales=0)
         with pytest.raises(ValidationError):
             KernelSpec(fixed_bandwidth=0.0)
+
+    @pytest.mark.parametrize("fields", [
+        {"bandwidths": ()},
+        {"bandwidths": (1.0, math.nan)},
+        {"bandwidths": (math.inf, 1.0)},
+        {"fixed_bandwidth": math.nan},
+        {"fixed_bandwidth": math.inf},
+        {"scale_step": math.nan},
+        {"scale_step": math.inf},
+        {"num_scales": 2.5},
+    ], ids=repr)
+    def test_degenerate_kernel_spec_rejected(self, fields):
+        # each of these used to be accepted and then gave a NaN MMD, a
+        # ZeroDivisionError or a TypeError on first use
+        with pytest.raises(ValidationError):
+            KernelSpec(**fields)
+
+    @pytest.mark.parametrize("kind", ["rbf_multiscale", "rbf_fixed"])
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_nan_feature_gives_non_finite_value(self, kind, side):
+        # a diverged run must surface as a non-finite MMD so that train_fold
+        # marks the fold diverged
+        rng = np.random.default_rng(12)
+        batches = {"source": rng.uniform(-1, 1, (9, 3)), "target": rng.uniform(-1, 1, (7, 3))}
+        batches[side][4, 1] = np.nan
+        value, _, _ = mmd_squared(batches["source"], batches["target"], KernelSpec(kind=kind))
+        assert not math.isfinite(value)
+
+    def test_resolve_with_nan_feature_falls_back_to_unit_median(self):
+        rng = np.random.default_rng(13)
+        source, target = rng.uniform(-1, 1, (9, 3)), rng.uniform(-1, 1, (7, 3))
+        source[2, 0] = np.nan
+        resolved = KernelSpec().resolve(source, target)
+        assert resolved.bandwidths == (0.25, 0.5, 1.0, 2.0, 4.0)
+
+
+def _textbook_sq_dists(a, b):
+    sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
+    return np.maximum(sq, 0.0)
+
+
+def _numpy_joint_median(d_ss, d_tt, d_st):
+    values = np.concatenate([
+        d_ss[np.triu_indices(d_ss.shape[0], k=1)],
+        d_tt[np.triu_indices(d_tt.shape[0], k=1)],
+        d_st.ravel(),
+    ])
+    median = float(np.median(values))
+    return median if median > 0.0 else 1.0
+
+
+def _single_select_median(d_ss, d_tt, d_st):
+    return _joint_median(d_ss, d_tt, d_st, np.empty(d_ss.size + d_tt.size + d_st.size))
+
+
+class TestJointMedian:
+    """_joint_median selects with one partition; it must equal np.median exactly."""
+
+    @pytest.mark.parametrize("n, m", [
+        (5, 4),  # 10 + 6 + 20 = 36 pairs, even
+        (6, 4),  # 15 + 6 + 24 = 45 pairs, odd
+        (1, 6),  # no within-source pairs: 0 + 15 + 6 = 21
+        (6, 1),  # no within-target pairs: 15 + 0 + 6 = 21
+        (1, 1),  # a single cross pair
+        (1, 2),  # 0 + 1 + 2 = 3
+        (256, 256),  # the paper batch: 32640 + 32640 + 65536, even
+        (256, 255),  # odd
+    ])
+    def test_equals_numpy_median(self, n, m):
+        rng = np.random.default_rng(n * 1000 + m)
+        s = rng.normal(size=(n, 8))
+        t = rng.normal(size=(m, 8)) + 0.5
+        d_ss, d_tt, d_st = (
+            _textbook_sq_dists(s, s), _textbook_sq_dists(t, t), _textbook_sq_dists(s, t)
+        )
+        assert _single_select_median(d_ss, d_tt, d_st) == _numpy_joint_median(d_ss, d_tt, d_st)
+
+    @pytest.mark.parametrize("n, m", [(7, 5), (6, 6), (1, 9), (9, 1)])
+    def test_equals_numpy_median_with_ties(self, n, m):
+        # integer points on a small grid give many equal distances
+        rng = np.random.default_rng(n + 31 * m)
+        s = rng.integers(0, 3, (n, 2)).astype(float)
+        t = rng.integers(0, 3, (m, 2)).astype(float)
+        d_ss, d_tt, d_st = (
+            _textbook_sq_dists(s, s), _textbook_sq_dists(t, t), _textbook_sq_dists(s, t)
+        )
+        assert _single_select_median(d_ss, d_tt, d_st) == _numpy_joint_median(d_ss, d_tt, d_st)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_numpy_median_on_arbitrary_blocks(self, seed):
+        rng = np.random.default_rng(seed)
+        n, m = rng.integers(1, 12, 2)
+        # few distinct values, so ties and zero medians are common
+        d_ss, d_tt, d_st = (
+            rng.integers(0, 4, shape).astype(float) for shape in ((n, n), (m, m), (n, m))
+        )
+        assert _single_select_median(d_ss, d_tt, d_st) == _numpy_joint_median(d_ss, d_tt, d_st)
+
+    @pytest.mark.parametrize("block", ["d_ss", "d_tt", "d_st"])
+    def test_nan_distance_falls_back_to_one(self, block):
+        rng = np.random.default_rng(3)
+        blocks = {"d_ss": rng.uniform(1, 2, (5, 5)), "d_tt": rng.uniform(1, 2, (4, 4)),
+                  "d_st": rng.uniform(1, 2, (5, 4))}
+        # above the diagonal, so the NaN is among the selected pairs
+        blocks[block][0, 3] = np.nan
+        assert _single_select_median(**blocks) == 1.0
+        assert _numpy_joint_median(**blocks) == 1.0
+
+    def test_identical_points_fall_back_to_one(self):
+        x = np.ones((4, 3))
+        assert _single_select_median(*(_textbook_sq_dists(x, x),) * 3) == 1.0
+
+
+def _per_scale_exp_mmd(source, target, divisors):
+    """One exp per scale, accumulated in the order mmd_squared uses.
+
+    Distances use the textbook expression, which mmd_squared must match
+    bit for bit; divisors are visited widest first, each scale's kernel sum
+    is added as a float, and the gradient's sum_s k_s / div_s is kept in
+    units of the current divisor.
+    """
+    order = sorted(divisors, reverse=True)
+    grad_s, grad_t = np.zeros_like(source), np.zeros_like(target)
+    n, m = len(source), len(target)
+    total = 0.0
+    for a, b, coeff, grad_a, grad_b in (
+        (source, source, 1.0 / (n * n), grad_s, grad_s),
+        (target, target, 1.0 / (m * m), grad_t, grad_t),
+        (source, target, -2.0 / (n * m), grad_s, grad_t),
+    ):
+        d2 = _textbook_sq_dists(a, b)
+        value = 0.0
+        weighted = None
+        for prev, div in zip([None] + order, order):
+            e = np.exp(-d2 / div)
+            value += float(e.sum())
+            weighted = e.copy() if prev is None else weighted * (div / prev) + e
+        scale = coeff * (-2.0 / len(order)) / order[-1]
+        grad_a += scale * (weighted.sum(axis=1, keepdims=True) * a - weighted @ b)
+        grad_b += scale * (weighted.sum(axis=0)[:, None] * b - weighted.T @ a)
+        total += coeff * value / len(order)
+    return max(total, 0.0), grad_s, grad_t
+
+
+class TestMultiscaleKernel:
+    """Halving divisors reuse one exp by squaring; any other spacing does not."""
+
+    @staticmethod
+    def _batches(seed, n=40, m=30, d=6):
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=(n, d)), rng.normal(size=(m, d)) + 1.0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_default_spread_matches_per_scale_exp(self, seed):
+        source, target = self._batches(seed)
+        kernel = KernelSpec()
+        value, g_s, g_t = mmd_squared(source, target, kernel)
+        ref_value, ref_s, ref_t = _per_scale_exp_mmd(
+            source, target, kernel.resolve(source, target).bandwidths
+        )
+        assert value == pytest.approx(ref_value, rel=1e-13, abs=0.0)
+        for got, ref in ((g_s, ref_s), (g_t, ref_t)):
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("kernel", [
+        KernelSpec(scale_step=3.0),
+        KernelSpec(bandwidths=(0.3, 1.1, 2.5, 4.0)),
+        KernelSpec(kind="rbf_fixed", fixed_bandwidth=0.7),
+    ], ids=["scale_step_3", "pinned_uneven", "fixed"])
+    def test_other_spacings_take_one_exp_per_scale(self, kernel):
+        source, target = self._batches(7)
+        if kernel.kind == "rbf_fixed":
+            divisors = (2.0 * kernel.fixed_bandwidth,)
+        else:
+            divisors = kernel.resolve(source, target).bandwidths
+        value, g_s, g_t = mmd_squared(source, target, kernel)
+        ref_value, ref_s, ref_t = _per_scale_exp_mmd(source, target, divisors)
+        assert value == ref_value
+        assert_array_equal(g_s, ref_s)
+        assert_array_equal(g_t, ref_t)
+
+    def test_halving_chain_breaks_at_uneven_step(self):
+        # 4 -> 2 halves (squared), 2 -> 0.7 does not (own exp), 0.7 -> 0.35 halves
+        source, target = self._batches(8)
+        kernel = KernelSpec(bandwidths=(0.35, 0.7, 2.0, 4.0))
+        value, g_s, _ = mmd_squared(source, target, kernel)
+        ref_value, ref_s, _ = _per_scale_exp_mmd(source, target, kernel.bandwidths)
+        assert value == pytest.approx(ref_value, rel=1e-13, abs=0.0)
+        assert np.abs(g_s - ref_s).max() <= 1e-13 * np.abs(ref_s).max()
 
 
 class TestClassificationLoss:
