@@ -80,7 +80,7 @@ def _load_synth(path: str) -> SynthConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot read synth config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"malformed synth config {path}: {exc}") from exc
     try:
         return SynthConfig(**raw)

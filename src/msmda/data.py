@@ -403,10 +403,16 @@ def load_domain_csv(path, domain_id=(0, 0), num_classes: int | None = None) -> D
     offending line number. ``num_classes`` defaults to max(label) + 1.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    try:
+        lines = raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        # the sentinel lands on the line holding the first undecodable byte
+        lineno = len((raw[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(path, lineno, f"byte 0x{raw[exc.start]:02x} is not UTF-8") from None
     if not lines:
         raise ParseError(path, 1, "empty file, expected a header line")
     header = lines[0].split(",")
@@ -485,10 +491,15 @@ def load_dataset_grid(root) -> dict[tuple[int, int], DomainDataset]:
         try:
             with open(manifest_path, "r", encoding="utf-8") as fh:
                 manifest = json.load(fh)
-            cells = [tuple(int(v) for v in cell) for cell in manifest["cells"]]
+            cells = list(manifest["cells"])
             num_classes = int(manifest["num_classes"])
         except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
             raise DataError(f"malformed manifest {manifest_path}: {exc}") from exc
+        for cell in cells:
+            if not (isinstance(cell, list) and len(cell) == 2
+                    and all(type(v) is int for v in cell)):
+                raise DataError(f"malformed manifest {manifest_path}: cell {cell!r} "
+                                "is not a [session, subject] pair of integers")
     else:
         cells = []
         for entry in sorted(os.listdir(root)):

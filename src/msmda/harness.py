@@ -365,8 +365,12 @@ def run_experiment(config: ExperimentConfig, log=None) -> dict:
     """Full sweep over seeds and folds; returns (and optionally writes) the summary."""
     fold_results: list[FoldResult] = []
     models: dict[tuple[str, int], MsMdaModel] = {}
+    tasks = None
     for seed in config.seeds:
-        tasks = build_tasks(config, seed)
+        # File folds do not depend on the seed, so the grid is parsed once per
+        # run; sharing is safe as prepare_task copies and sampling only indexes.
+        if tasks is None or config.data_root is None:
+            tasks = build_tasks(config, seed)
         for fold_index, task in enumerate(tasks):
             try:
                 result, model = train_fold(task, config, seed, fold_index)

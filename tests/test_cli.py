@@ -33,6 +33,23 @@ class TestExitCodes:
     def test_unreadable_synth_config_is_data_error(self, tmp_path):
         assert main(["train", "--synth", str(tmp_path / "none.json"), "--quiet"]) == 3
 
+    def test_non_utf8_synth_config_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "synth.json"
+        path.write_bytes(b"\xff{}")
+        assert main(["train", "--synth", str(path), "--quiet"]) == 3
+        assert "malformed synth config" in capsys.readouterr().err
+
+    def test_non_utf8_csv_is_data_error(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        assert main(["gen-synth", "--synth", synth_json(tmp_path, samples_per_domain=30),
+                     "--grid", "2x3", "--out", str(data_dir), "--quiet"]) == 0
+        path = data_dir / "session2" / "subject1.csv"
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\n\xff", 1))
+        code = main(["train", "--data", str(data_dir), "--scenario", "cross-session",
+                     "--seeds", "0", "--out", str(tmp_path / "run")] + FAST)
+        assert code == 3
+        assert f"{path}:2: byte 0xff is not UTF-8" in capsys.readouterr().err
+
     def test_bad_flag_value(self, capsys):
         assert main(["train", "--norm", "bogus"]) == 1
 

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -141,6 +142,18 @@ class TestDomainCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             load_domain_csv(tmp_path / "absent.csv")
+
+    def test_non_utf8_byte_names_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"f0,label\r\n1.0,0\r\n2.0\xff,1\r\n")
+        with pytest.raises(ParseError, match=r":3:.*0xff.*UTF-8"):
+            load_domain_csv(path)
+
+    def test_non_utf8_header_is_parse_error(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\xfff0,label\n1.0,0\n")
+        with pytest.raises(ParseError, match=":1:"):
+            load_domain_csv(path)
 
 
 class TestNormalize:
@@ -509,6 +522,25 @@ class TestDatasetGrid:
         root = tmp_path / "empty"
         root.mkdir()
         with pytest.raises(DataError):
+            load_dataset_grid(root)
+
+    @pytest.mark.parametrize("cells", [
+        [[1], [2, 1]],
+        [[1, 2, 3]],
+        [[1, 1], []],
+        [[1, "2"]],
+        [[1.0, 2]],
+        [[True, 1]],
+        ["12"],
+        [{"1": 2}],
+        [7],
+        7,
+    ])
+    def test_manifest_cell_not_an_integer_pair(self, tmp_path, cells):
+        root = tmp_path / "data"
+        save_dataset_grid(synthetic_grid(sessions=1, subjects=2), root)
+        (root / "manifest.json").write_text(json.dumps({"cells": cells, "num_classes": 2}))
+        with pytest.raises(DataError, match="malformed manifest"):
             load_dataset_grid(root)
 
 

@@ -1,13 +1,21 @@
 import csv
 import json
 import math
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
 from conftest import per_seed_results
-from msmda.data import NormalizationSpec, SynthConfig
+from msmda import data
+from msmda.data import (
+    NormalizationSpec,
+    SynthConfig,
+    generate_synthetic,
+    save_dataset_grid,
+)
 from msmda.errors import ValidationError
 from msmda.harness import (
     ExperimentConfig,
@@ -88,7 +96,6 @@ class TestRunExperiment:
     def test_build_tasks_ignore_method(self):
         config = small_config()
         tasks_a = build_tasks(config, 0)
-        from dataclasses import replace
         tasks_b = build_tasks(replace(config, method="source_combine"), 0)
         assert_array_equal(tasks_a[0].target.features, tasks_b[0].target.features)
         for a, b in zip(tasks_a[0].sources, tasks_b[0].sources):
@@ -222,6 +229,51 @@ class TestPersistence:
         assert float(row["avg_accuracy"]) == record.avg_accuracy
 
 
+class TestFileData:
+    """File folds are seed-independent, so one run parses the grid once."""
+
+    def file_config(self, root, seeds, out):
+        return small_config(
+            synth=None, data_root=str(root), scenario="cross_session",
+            norm=NormalizationSpec(), train=TrainConfig(epochs=3, batch_size=16, lr=0.01),
+            seeds=seeds, out_dir=str(out),
+        )
+
+    def test_grid_parsed_once_and_seeds_share_nothing(self, tmp_path, monkeypatch):
+        domains = generate_synthetic(SynthConfig(
+            num_domains=6, samples_per_domain=40, num_classes=3, feature_dim=8,
+            class_separation=3.0, domain_shift_scale=0.8, noise_std=1.0, rng_seed=0))
+        cells = [(k, j) for k in (1, 2) for j in (1, 2, 3)]
+        root = tmp_path / "data"
+        save_dataset_grid(
+            {cell: replace(d, domain_id=cell) for cell, d in zip(cells, domains)}, root)
+
+        parsed = []
+        real_load = data.load_domain_csv
+
+        def counting_load(path, *args, **kwargs):
+            parsed.append(os.path.relpath(path, root))
+            return real_load(path, *args, **kwargs)
+
+        monkeypatch.setattr(data, "load_domain_csv", counting_load)
+        run_experiment(self.file_config(root, (0, 1, 2), tmp_path / "all"))
+        assert sorted(parsed) == sorted(
+            os.path.join(f"session{k}", f"subject{j}.csv") for k, j in cells)
+
+        # each seed's metrics rows equal, byte for byte, a run of that seed alone
+        swept = (tmp_path / "all" / "metrics.csv").read_bytes().splitlines()
+        for seed in (0, 1, 2):
+            out = tmp_path / f"seed{seed}"
+            run_experiment(self.file_config(root, (seed,), out))
+            alone = (out / "metrics.csv").read_bytes().splitlines()
+            assert alone[0] == swept[0]
+            assert alone[1:] == [row for row in swept[1:]
+                                 if row.split(b",")[1] == str(seed).encode()]
+            assert len(alone) == 1 + 3 * 3  # three folds of three epochs
+        # nothing outlives a run: every run reads the files again
+        assert len(parsed) == 4 * len(cells)
+
+
 class TestDumpFeatures:
     def run_and_dump(self, tmp_path, samples=10):
         out = tmp_path / "run"
@@ -273,14 +325,11 @@ class TestDumpFeatures:
 
     def test_default_sampling_on_fourteen_source_fold(self, tmp_path):
         # cross-subject fold: 14 sources + target, 100 rows sampled per domain
-        from msmda.data import SynthConfig, generate_synthetic, save_dataset_grid
-        from dataclasses import replace as dc_replace
-
         domains = generate_synthetic(SynthConfig(
             num_domains=15, samples_per_domain=120, num_classes=3,
             feature_dim=8, rng_seed=0))
         grid = {
-            (1, j): dc_replace(d, domain_id=(1, j))
+            (1, j): replace(d, domain_id=(1, j))
             for j, d in enumerate(domains, start=1)
         }
         root = tmp_path / "grid"
