@@ -88,7 +88,7 @@ def _load_synth(path: str) -> SynthConfig:
         raise ValidationError(f"bad synth config field: {exc}") from exc
 
 
-def _experiment_config(args, ablate_mmd=False, ablate_disc=False) -> ExperimentConfig:
+def _experiment_config(args) -> ExperimentConfig:
     if (args.data is None) == (args.synth is None):
         raise ValidationError("specify exactly one of --data and --synth")
     synth = _load_synth(args.synth) if args.synth else None
@@ -99,8 +99,6 @@ def _experiment_config(args, ablate_mmd=False, ablate_disc=False) -> ExperimentC
         beta_weight=args.beta,
         beta_absolute=args.beta_absolute,
         disc_start_fraction=args.disc_start,
-        ablate_mmd=ablate_mmd,
-        ablate_disc=ablate_disc,
         iterations_per_epoch=args.iters,
     )
     model = ModelConfig(

@@ -492,9 +492,12 @@ def load_dataset_grid(root) -> dict[tuple[int, int], DomainDataset]:
             with open(manifest_path, "r", encoding="utf-8") as fh:
                 manifest = json.load(fh)
             cells = list(manifest["cells"])
-            num_classes = int(manifest["num_classes"])
+            num_classes = manifest["num_classes"]
         except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
             raise DataError(f"malformed manifest {manifest_path}: {exc}") from exc
+        if type(num_classes) is not int or num_classes < 1:
+            raise DataError(f"malformed manifest {manifest_path}: num_classes "
+                            f"{num_classes!r} is not an integer >= 1")
         for cell in cells:
             if not (isinstance(cell, list) and len(cell) == 2
                     and all(type(v) is int for v in cell)):

@@ -98,6 +98,8 @@ class ExperimentConfig:
         if not self.seeds:
             raise ValidationError("seeds must be nonempty")
         self.seeds = tuple(int(s) for s in self.seeds)
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValidationError(f"seeds must be distinct, got {list(self.seeds)}")
         if self.method not in METHODS:
             raise ValidationError(f"unknown method {self.method!r}")
         if self.data_root is None:
@@ -137,20 +139,6 @@ class MetricsRecord:
         ]
 
 
-@dataclass
-class FoldResult:
-    fold_id: str
-    seed: int
-    status: str
-    final_accuracy: float
-    best_accuracy: float
-    best_epoch: int
-    final_source_accuracy: float
-    first_epoch_mmd: float
-    final_epoch_mmd: float
-    records: list[MetricsRecord]
-
-
 def _derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence([int(p) for p in parts]).generate_state(1)[0])
 
@@ -183,8 +171,12 @@ def train_fold(
     config: ExperimentConfig,
     seed: int,
     fold_index: int,
-) -> tuple[FoldResult, MsMdaModel]:
-    """Train one fold to completion (or divergence) and evaluate per epoch."""
+) -> tuple[list[MetricsRecord], MsMdaModel]:
+    """Train one fold and evaluate the target after every epoch.
+
+    Returns one ``ok`` row per epoch; a non-finite loss ends the fold with a
+    ``diverged`` row for that epoch.
+    """
     prepared = prepare_task(task, config.norm, config.method)
     train = config.train
     model_cfg = replace(
@@ -202,11 +194,9 @@ def train_fold(
     iters = train.iterations_per_epoch or iterations_per_epoch(prepared, train.batch_size)
 
     records: list[MetricsRecord] = []
-    status = "ok"
     for epoch in range(train.epochs):
         w_mmd, w_disc = loss_weights(train, epoch)
         sums = np.zeros(4)
-        diverged = False
         for _ in range(iters):
             source_batches, target_batch = sampler.next_batch()
             bd = train_step(
@@ -214,18 +204,14 @@ def train_fold(
                 alpha=w_mmd, beta=w_disc, lr=train.lr, kernel=config.kernel,
             )
             if not math.isfinite(bd.total):
-                diverged = True
                 records.append(MetricsRecord(
                     fold_id=task.fold_id, seed=seed, epoch=epoch,
                     cls=bd.cls, mmd=bd.mmd, disc=bd.disc, total=bd.total,
                     alpha=w_mmd, beta=w_disc, avg_accuracy=float("nan"),
                     branch_accuracies=[], status="diverged",
                 ))
-                break
+                return records, model
             sums += (bd.cls, bd.mmd, bd.disc, bd.total)
-        if diverged:
-            status = "diverged"
-            break
         avg_probs, pred_labels, per_branch = predict(model, prepared.target.features)
         branch_accs = [
             _accuracy(np.argmax(p, axis=1), prepared.target.labels) for p in per_branch
@@ -237,30 +223,14 @@ def train_fold(
             avg_accuracy=_accuracy(pred_labels, prepared.target.labels),
             branch_accuracies=branch_accs,
         ))
+    return records, model
 
-    ok_records = [r for r in records if r.status == "ok"]
-    if ok_records:
-        final = ok_records[-1].avg_accuracy
-        best_idx = int(np.argmax([r.avg_accuracy for r in ok_records]))
-        best = ok_records[best_idx].avg_accuracy
-        best_epoch = ok_records[best_idx].epoch
-        first_mmd, final_mmd = ok_records[0].mmd, ok_records[-1].mmd
-        source_feats = np.vstack([s.features for s in prepared.sources])
-        source_labels = np.concatenate([s.labels for s in prepared.sources])
-        _, source_pred, _ = predict(model, source_feats)
-        source_acc = _accuracy(source_pred, source_labels)
-    else:
-        final = best = source_acc = float("nan")
-        best_epoch = -1
-        first_mmd = final_mmd = float("nan")
-    result = FoldResult(
-        fold_id=task.fold_id, seed=seed, status=status,
-        final_accuracy=final, best_accuracy=best, best_epoch=best_epoch,
-        final_source_accuracy=source_acc,
-        first_epoch_mmd=first_mmd, final_epoch_mmd=final_mmd,
-        records=records,
-    )
-    return result, model
+
+def _fold_outcome(records: list[MetricsRecord]) -> tuple[str, float, float]:
+    """A fold's status (its last row's) and its last and best ``ok`` accuracy."""
+    ok = [r.avg_accuracy for r in records if r.status == "ok"]
+    final, best = (ok[-1], float(np.max(ok))) if ok else (float("nan"), float("nan"))
+    return records[-1].status, final, best
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:
@@ -268,29 +238,40 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return float(np.mean(arr)), float(np.std(arr))
 
 
-def summarize(fold_results: list[FoldResult], config: ExperimentConfig) -> dict:
-    """Final-epoch accuracy mean/std per seed (over folds) and across seeds."""
+def summarize(records: list[MetricsRecord], config: ExperimentConfig) -> dict:
+    """Final-epoch accuracy mean/std per seed (over folds) and across seeds.
+
+    The rows are grouped into folds by (seed, fold_id) in run order; a fold
+    whose last row is not ``ok`` is listed under ``aborted_folds``.
+    """
+    folds: dict[tuple[int, str], list[MetricsRecord]] = {}
+    for record in records:
+        folds.setdefault((record.seed, record.fold_id), []).append(record)
+    outcomes = {key: _fold_outcome(rows) for key, rows in folds.items()}
     per_seed = []
     seed_means = []
     seed_best_means = []
     pooled = []
     aborted = [
-        {"fold_id": fr.fold_id, "seed": fr.seed}
-        for fr in fold_results if fr.status != "ok"
+        {"fold_id": fold_id, "seed": seed}
+        for (seed, fold_id), (status, _, _) in outcomes.items() if status != "ok"
     ]
     for seed in config.seeds:
-        ok = [fr for fr in fold_results if fr.seed == seed and fr.status == "ok"]
+        ok = [
+            (fold_id, final, best)
+            for (s, fold_id), (status, final, best) in outcomes.items()
+            if s == seed and status == "ok"
+        ]
         if not ok:
             per_seed.append({"seed": seed, "num_folds": 0})
             continue
-        finals = [fr.final_accuracy for fr in ok]
-        bests = [fr.best_accuracy for fr in ok]
+        finals = [final for _, final, _ in ok]
         mean, std = _mean_std(finals)
-        best_mean, best_std = _mean_std(bests)
+        best_mean, best_std = _mean_std([best for _, _, best in ok])
         per_seed.append({
             "seed": seed,
             "num_folds": len(ok),
-            "fold_accuracies": {fr.fold_id: fr.final_accuracy for fr in ok},
+            "fold_accuracies": {fold_id: final for fold_id, final, _ in ok},
             "final_mean": mean,
             "final_std": std,
             "best_mean": best_mean,
@@ -331,18 +312,17 @@ def config_snapshot(config: ExperimentConfig) -> dict:
     }
 
 
-def _write_metrics_csv(path, fold_results: list[FoldResult]) -> None:
+def _write_metrics_csv(path, records: list[MetricsRecord]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(METRICS_COLUMNS)
-        for fr in fold_results:
-            for record in fr.records:
-                writer.writerow(record.as_row())
+        for record in records:
+            writer.writerow(record.as_row())
 
 
 def write_outputs(
     config: ExperimentConfig,
-    fold_results: list[FoldResult],
+    records: list[MetricsRecord],
     summary: dict,
     models: dict[tuple[str, int], MsMdaModel],
 ) -> None:
@@ -351,7 +331,7 @@ def write_outputs(
     with open(os.path.join(out, "config.json"), "w", encoding="utf-8") as fh:
         json.dump(config_snapshot(config), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _write_metrics_csv(os.path.join(out, "metrics.csv"), fold_results)
+    _write_metrics_csv(os.path.join(out, "metrics.csv"), records)
     with open(os.path.join(out, "summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -362,8 +342,8 @@ def write_outputs(
 
 
 def run_experiment(config: ExperimentConfig, log=None) -> dict:
-    """Full sweep over seeds and folds; returns (and optionally writes) the summary."""
-    fold_results: list[FoldResult] = []
+    """Full sweep over seeds and folds; returns the summary ``summary.json`` holds."""
+    records: list[MetricsRecord] = []
     models: dict[tuple[str, int], MsMdaModel] = {}
     tasks = None
     for seed in config.seeds:
@@ -373,23 +353,20 @@ def run_experiment(config: ExperimentConfig, log=None) -> dict:
             tasks = build_tasks(config, seed)
         for fold_index, task in enumerate(tasks):
             try:
-                result, model = train_fold(task, config, seed, fold_index)
+                fold_records, model = train_fold(task, config, seed, fold_index)
             except DataError:
                 raise
             except ValidationError as exc:
                 raise ValidationError(f"fold {task.fold_id} (seed {seed}): {exc}") from exc
-            fold_results.append(result)
+            records.extend(fold_records)
             models[(task.fold_id, seed)] = model
             if log:
-                log(
-                    f"seed {seed} fold {task.fold_id}: "
-                    f"final={result.final_accuracy:.4f} best={result.best_accuracy:.4f} "
-                    f"({result.status})"
-                )
-    summary = summarize(fold_results, config)
+                status, final, best = _fold_outcome(fold_records)
+                log(f"seed {seed} fold {task.fold_id}: "
+                    f"final={final:.4f} best={best:.4f} ({status})")
+    summary = summarize(records, config)
     if config.out_dir:
-        write_outputs(config, fold_results, summary, models)
-    summary["_fold_results"] = fold_results
+        write_outputs(config, records, summary, models)
     return summary
 
 
@@ -407,9 +384,7 @@ def run_ablation(config: ExperimentConfig, mode: str, log=None) -> dict:
         ablate_mmd=mode in ("no_mmd", "no_both"),
         ablate_disc=mode in ("no_disc", "no_both"),
     )
-    summary = run_experiment(replace(config, train=train), log=log)
-    summary["ablation"] = mode
-    return summary
+    return run_experiment(replace(config, train=train), log=log)
 
 
 def dump_features(
@@ -427,6 +402,8 @@ def dump_features(
     smaller domains). Columns: domain, branch, label, then the feature
     values.
     """
+    if samples_per_domain < 0:
+        raise ValidationError(f"samples_per_domain must be >= 0, got {samples_per_domain}")
     model = load_checkpoint(checkpoint_path)
     seed = config.seeds[0]
     tasks = build_tasks(config, seed)

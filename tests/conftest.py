@@ -1,4 +1,7 @@
+import csv
 import time
+from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -35,19 +38,38 @@ BENCHMARK_CONFIG = ExperimentConfig(
 )
 
 
-def per_seed_results(summary):
-    return {fr.seed: fr for fr in summary["_fold_results"]}
+def per_seed_results(run_dir):
+    """Final target accuracy and first/final epoch MMD of each seed's one fold,
+    read from the ``metrics.csv`` of a sweep written to ``run_dir``."""
+    with open(run_dir / "metrics.csv", newline="") as fh:
+        rows = [r for r in csv.DictReader(fh) if r["status"] == "ok"]
+    results = {}
+    for seed in {int(r["seed"]) for r in rows}:
+        epochs = [r for r in rows if int(r["seed"]) == seed]
+        results[seed] = SimpleNamespace(
+            final_accuracy=float(epochs[-1]["avg_accuracy"]),
+            first_epoch_mmd=float(epochs[0]["mmd"]),
+            final_epoch_mmd=float(epochs[-1]["mmd"]),
+        )
+    return results
 
 
 @pytest.fixture(scope="session")
-def synthetic_benchmark():
-    """Paired sweeps: full model, no-mmd ablation, no-disc ablation, baseline."""
+def synthetic_benchmark(tmp_path_factory):
+    """Paired sweeps: full model, no-mmd ablation, no-disc ablation, baseline.
+
+    Each sweep's entry is the directory it wrote its outputs to.
+    """
+    root = tmp_path_factory.mktemp("benchmark")
+    results = {name: root / name for name in ("full", "no_mmd", "no_disc", "baseline")}
+
+    def config(name):
+        return replace(BENCHMARK_CONFIG, out_dir=str(results[name]))
+
     start = time.time()
-    results = {
-        "full": run_experiment(BENCHMARK_CONFIG),
-        "no_mmd": run_ablation(BENCHMARK_CONFIG, "no_mmd"),
-        "no_disc": run_ablation(BENCHMARK_CONFIG, "no_disc"),
-        "baseline": run_baseline_source_combine(BENCHMARK_CONFIG),
-    }
+    run_experiment(config("full"))
+    run_ablation(config("no_mmd"), "no_mmd")
+    run_ablation(config("no_disc"), "no_disc")
+    run_baseline_source_combine(config("baseline"))
     results["elapsed_seconds"] = time.time() - start
     return results

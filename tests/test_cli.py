@@ -59,6 +59,13 @@ class TestExitCodes:
     def test_bad_seeds_string(self, tmp_path):
         assert main(["train", "--synth", synth_json(tmp_path), "--seeds", "a,b"]) == 1
 
+    def test_repeated_seed_is_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--synth", synth_json(tmp_path), "--seeds", "0,0",
+                     "--out", str(out)] + FAST) == 1
+        assert "seeds must be distinct" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrainCommand:
     def test_synth_run_writes_outputs(self, tmp_path):
@@ -123,6 +130,18 @@ class TestDumpFeaturesCommand:
         assert code == 0
         files = sorted(feat_dir.iterdir())
         assert [f.name for f in files] == ["branch_00.csv", "branch_01.csv"]
+
+    def test_negative_samples_is_validation_error(self, tmp_path, capsys):
+        synth = synth_json(tmp_path)
+        out = tmp_path / "run"
+        main(["train", "--synth", synth, "--seeds", "0", "--out", str(out)] + FAST)
+        ckpt = next((out / "checkpoints").iterdir())
+        feat_dir = tmp_path / "features"
+        code = main(["dump-features", "--synth", synth, "--checkpoint", str(ckpt),
+                     "--samples", "-1", "--out", str(feat_dir)] + FAST)
+        assert code == 1
+        assert "samples_per_domain must be >= 0" in capsys.readouterr().err
+        assert not feat_dir.exists()
 
     def test_bad_checkpoint_is_data_error(self, tmp_path, capsys):
         ckpt = tmp_path / "bad.ckpt"

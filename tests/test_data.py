@@ -543,6 +543,15 @@ class TestDatasetGrid:
         with pytest.raises(DataError, match="malformed manifest"):
             load_dataset_grid(root)
 
+    @pytest.mark.parametrize("num_classes", [2.7, True, "3", 0])
+    def test_manifest_num_classes_not_a_positive_integer(self, tmp_path, num_classes):
+        root = tmp_path / "data"
+        save_dataset_grid(synthetic_grid(sessions=1, subjects=2), root)
+        (root / "manifest.json").write_text(
+            json.dumps({"cells": [[1, 1], [1, 2]], "num_classes": num_classes}))
+        with pytest.raises(DataError, match="malformed manifest .*num_classes"):
+            load_dataset_grid(root)
+
 
 class TestMergeAndTask:
     def test_merge_concatenates(self):

@@ -25,9 +25,10 @@ from msmda.harness import (
     run_ablation,
     run_baseline_source_combine,
     run_experiment,
+    train_fold,
     verify,
 )
-from msmda.model import ModelConfig, TrainConfig, load_checkpoint
+from msmda.model import ModelConfig, TrainConfig, load_checkpoint, predict
 
 
 def small_config(**overrides):
@@ -44,6 +45,17 @@ def small_config(**overrides):
     return ExperimentConfig(**defaults)
 
 
+def first_fold(config):
+    """Rows and model of the first seed's first fold, trained as a sweep would."""
+    seed = config.seeds[0]
+    return train_fold(build_tasks(config, seed)[0], config, seed, 0)
+
+
+def metrics_rows(run_dir):
+    with open(run_dir / "metrics.csv", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 class TestRunExperiment:
     def test_zero_shift_target_matches_source_accuracy(self):
         config = small_config(
@@ -52,20 +64,25 @@ class TestRunExperiment:
                               domain_shift_scale=0.0, noise_std=0.8, rng_seed=0),
             train=TrainConfig(epochs=12, batch_size=32, lr=0.01),
         )
-        summary = run_experiment(config)
-        fr = summary["_fold_results"][0]
-        assert fr.status == "ok"
+        records, model = first_fold(config)
+        assert records[-1].status == "ok"
+        prepared = prepare_task(build_tasks(config, 0)[0], config.norm, config.method)
+        _, source_pred, _ = predict(model, np.vstack([s.features for s in prepared.sources]))
+        source_labels = np.concatenate([s.labels for s in prepared.sources])
+        source_accuracy = float(np.mean(source_pred == source_labels))
         # identically distributed domains: transfer should be lossless
-        assert abs(fr.final_accuracy - fr.final_source_accuracy) <= 0.05
+        assert abs(records[-1].avg_accuracy - source_accuracy) <= 0.05
 
-    def test_rerun_is_bit_identical(self):
-        config = small_config(seeds=(0, 1))
-        a, b = run_experiment(config), run_experiment(config)
-        a.pop("_fold_results")
-        rb = b.pop("_fold_results")
+    def test_rerun_is_bit_identical(self, tmp_path):
+        a = run_experiment(small_config(seeds=(0, 1), out_dir=str(tmp_path / "a")))
+        b = run_experiment(small_config(seeds=(0, 1), out_dir=str(tmp_path / "b")))
         assert a == b
-        for fr in rb:
-            assert math.isfinite(fr.final_accuracy)
+        assert (tmp_path / "a" / "metrics.csv").read_bytes() == \
+            (tmp_path / "b" / "metrics.csv").read_bytes()
+        assert b["aborted_folds"] == []
+        for entry in b["per_seed"]:
+            for accuracy in entry["fold_accuracies"].values():
+                assert math.isfinite(accuracy)
 
     def test_summary_shape(self):
         summary = run_experiment(small_config(seeds=(0, 1)))
@@ -75,16 +92,14 @@ class TestRunExperiment:
         assert summary["aborted_folds"] == []
 
     def test_records_one_per_epoch(self):
-        summary = run_experiment(small_config())
-        records = summary["_fold_results"][0].records
+        records, _ = first_fold(small_config())
         assert [r.epoch for r in records] == list(range(8))
         for r in records:
             assert 0.0 <= r.avg_accuracy <= 1.0
             assert len(r.branch_accuracies) == 2
 
     def test_epoch_zero_has_zero_weights(self):
-        summary = run_experiment(small_config())
-        first = summary["_fold_results"][0].records[0]
+        first = first_fold(small_config())[0][0]
         assert first.alpha == 0.0 and first.beta == 0.0
 
     def test_config_requires_one_source(self):
@@ -114,15 +129,15 @@ class TestBaseline:
         full = run_experiment(config)
         base = run_baseline_source_combine(config)
         assert full["final_mean"] == base["final_mean"]
-        fr_full = full["_fold_results"][0]
-        fr_base = base["_fold_results"][0]
-        assert fr_full.final_accuracy == fr_base.final_accuracy
-        assert [r.total for r in fr_full.records] == [r.total for r in fr_base.records]
+        rows_full, _ = first_fold(config)
+        rows_base, _ = first_fold(replace(config, method="source_combine"))
+        assert rows_full[-1].avg_accuracy == rows_base[-1].avg_accuracy
+        assert [r.total for r in rows_full] == [r.total for r in rows_base]
 
     def test_baseline_has_one_branch(self):
         summary = run_baseline_source_combine(small_config())
-        fr = summary["_fold_results"][0]
-        assert len(fr.records[0].branch_accuracies) == 1
+        records, _ = first_fold(small_config(method="source_combine"))
+        assert len(records[0].branch_accuracies) == 1
         assert summary["method"] == "source_combine"
 
     def test_merge_respects_order(self):
@@ -137,14 +152,13 @@ class TestBaseline:
 
 
 class TestAblation:
-    def test_no_both_total_equals_cls(self):
-        summary = run_ablation(small_config(), "no_both")
-        assert summary["ablation"] == "no_both"
-        for fr in summary["_fold_results"]:
-            for r in fr.records:
-                assert r.alpha == 0.0 and r.beta == 0.0
-                assert r.total == r.cls
-                assert r.mmd >= 0.0 and r.disc >= 0.0  # still reported
+    def test_no_both_total_equals_cls(self, tmp_path):
+        summary = run_ablation(small_config(out_dir=str(tmp_path)), "no_both")
+        assert summary["ablate_mmd"] and summary["ablate_disc"]
+        for r in metrics_rows(tmp_path):
+            assert float(r["alpha"]) == 0.0 and float(r["beta"]) == 0.0
+            assert float(r["total"]) == float(r["cls"])
+            assert float(r["mmd"]) >= 0.0 and float(r["disc"]) >= 0.0  # still reported
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValidationError):
@@ -194,6 +208,17 @@ class TestPersistence:
         assert len(ckpts) == 2
         load_checkpoint(ckpts[0])  # loadable
 
+    @pytest.mark.parametrize("mode", [None, "baseline", "no_mmd", "no_disc", "no_both"])
+    def test_returned_summary_is_summary_json(self, tmp_path, mode):
+        config = small_config(seeds=(0, 1), out_dir=str(tmp_path))
+        if mode is None:
+            summary = run_experiment(config)
+        elif mode == "baseline":
+            summary = run_baseline_source_combine(config)
+        else:
+            summary = run_ablation(config, mode)
+        assert summary == json.loads((tmp_path / "summary.json").read_text())
+
     def test_snapshot_reruns_identically(self, tmp_path):
         out = tmp_path / "run"
         config = small_config(out_dir=str(out))
@@ -219,10 +244,9 @@ class TestPersistence:
     def test_metrics_csv_full_precision(self, tmp_path):
         out = tmp_path / "run"
         config = small_config(out_dir=str(out))
-        summary = run_experiment(config)
-        with open(out / "metrics.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        record = summary["_fold_results"][0].records[3]
+        run_experiment(config)
+        rows = metrics_rows(out)
+        record = first_fold(config)[0][3]
         row = [r for r in rows if int(r["epoch"]) == 3][0]
         assert float(row["cls"]) == record.cls
         assert float(row["mmd"]) == record.mmd
@@ -376,9 +400,9 @@ class TestDivergenceHandling:
             train=TrainConfig(epochs=6, batch_size=32, lr=1e154),
         )
         summary = run_experiment(config)
-        fr = summary["_fold_results"][0]
-        if fr.status == "ok":  # pragma: no cover - depends on overflow path
+        records, _ = first_fold(config)
+        if records[-1].status == "ok":  # pragma: no cover - depends on overflow path
             pytest.skip("run unexpectedly stayed finite")
         assert summary["aborted_folds"] == [{"fold_id": "synthetic", "seed": 0}]
         assert "final_mean" not in summary
-        assert fr.records[-1].status == "diverged"
+        assert records[-1].status == "diverged"

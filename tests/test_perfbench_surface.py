@@ -35,3 +35,31 @@ def test_harness_exposes_replay_setup_calls():
 
     for name in ("init_model", "build_tasks", "prepare_task"):
         assert callable(getattr(harness, name)), name
+
+
+def test_sweep_entry_points_return_the_summary_keys_run_reads():
+    # perfbench/run.py checks every sweep through these keys of the returned dict
+    from msmda.data import NormalizationSpec, SynthConfig
+    from msmda.harness import (
+        ExperimentConfig,
+        run_ablation,
+        run_baseline_source_combine,
+        run_experiment,
+    )
+    from msmda.model import ModelConfig, TrainConfig
+
+    config = ExperimentConfig(
+        synth=SynthConfig(num_domains=3, samples_per_domain=30, num_classes=3,
+                          feature_dim=6, rng_seed=0),
+        norm=NormalizationSpec(kind="none"),
+        model=ModelConfig(num_branches=1, cfe_dims=(8, 6, 4), dsfe_dim=4),
+        train=TrainConfig(epochs=2, batch_size=16),
+        seeds=(0, 1),
+    )
+    for summary in (run_experiment(config), run_ablation(config, "no_mmd"),
+                    run_baseline_source_combine(config)):
+        assert isinstance(summary, dict)
+        assert summary["aborted_folds"] == []
+        assert isinstance(summary["method"], str)
+        assert isinstance(summary["final_mean"], float)
+        assert [entry["num_folds"] for entry in summary["per_seed"]] == [1, 1]
