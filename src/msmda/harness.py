@@ -400,7 +400,9 @@ def dump_features(
     One CSV per branch; rows cover every source domain plus the target,
     ``samples_per_domain`` seeded rows each (clamped, with a warning, for
     smaller domains). Columns: domain, branch, label, then the feature
-    values.
+    values. A branch whose features are not all finite (a diverged or
+    overflowing checkpoint) is a DataError raised before its file is
+    written.
     """
     if samples_per_domain < 0:
         raise ValidationError(f"samples_per_domain must be >= 0, got {samples_per_domain}")
@@ -435,13 +437,17 @@ def dump_features(
     header = ["domain", "branch", "label"] + [f"f{i}" for i in range(dim)]
     paths = []
     for b in range(model.num_branches):
+        feats = [extract_branch_features(model, d.features[idx], b) for d, idx in sampled]
+        for (d, _), branch_feats in zip(sampled, feats):
+            if not np.all(np.isfinite(branch_feats)):
+                raise DataError(f"{checkpoint_path}: branch {b} gives non-finite features "
+                                f"on domain {d.domain_id[0]}-{d.domain_id[1]}")
         path = os.path.join(out_dir, f"branch_{b:02d}.csv")
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
-            for d, idx in sampled:
-                feats = extract_branch_features(model, d.features[idx], b)
-                for row, label in zip(feats, d.labels[idx]):
+            for (d, idx), branch_feats in zip(sampled, feats):
+                for row, label in zip(branch_feats, d.labels[idx]):
                     writer.writerow(
                         [f"{d.domain_id[0]}-{d.domain_id[1]}", str(b), str(int(label))]
                         + [repr(float(v)) for v in row]
@@ -552,7 +558,7 @@ def brute_force_mmd(source, target, kernel: KernelSpec) -> float:
     return ss + tt - 2.0 * st
 
 
-def _grad_items(grad_perturbation: float = 0.0) -> list[VerifyItem]:
+def _grad_items() -> list[VerifyItem]:
     items = []
     rng = np.random.default_rng(0)
 
@@ -571,8 +577,7 @@ def _grad_items(grad_perturbation: float = 0.0) -> list[VerifyItem]:
         return loss
 
     add("linear+cross-entropy gradients",
-        finite_difference_check(linear_ce, layer.parameters(),
-                                grad_perturbation=grad_perturbation))
+        finite_difference_check(linear_ce, layer.parameters()))
 
     # LeakyReLU through a quadratic head (inputs kept away from 0)
     p = Parameter(rng.uniform(0.2, 1.0, (3, 4)) * rng.choice([-1.0, 1.0], (3, 4)))
@@ -714,10 +719,10 @@ def _schedule_items() -> list[VerifyItem]:
     return items
 
 
-def verify(suite: str = "all", grad_perturbation: float = 0.0) -> VerifyReport:
+def verify(suite: str = "all") -> VerifyReport:
     """Run the named self-check suite with fixed seeds."""
     suites = {
-        "grad": lambda: _grad_items(grad_perturbation),
+        "grad": _grad_items,
         "mmd_oracle": _mmd_oracle_items,
         "norm": _norm_items,
         "schedule": _schedule_items,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -32,6 +33,7 @@ from .neuralcore import (
     Parameter,
     adam_step,
     as_matrix,
+    fan_in_uniform,
     leaky_relu,
     leaky_relu_backward,
     softmax,
@@ -39,6 +41,7 @@ from .neuralcore import (
 )
 
 CHECKPOINT_MAGIC = b"MSMDA1"
+_HEAD_FORMAT = "<IIIIIdq"
 
 
 @dataclass(frozen=True)
@@ -112,6 +115,22 @@ def loss_weights(train: TrainConfig, epoch_index: int) -> tuple[float, float]:
     return w_mmd, w_disc
 
 
+def layer_shapes(config: ModelConfig):
+    """(in, out) of the extractor's layers and of one branch's two layers;
+    the parameter order is the extractor, then ``num_branches`` branches."""
+    dims = (config.input_dim,) + config.cfe_dims
+    branch = [(dims[-1], config.dsfe_dim), (config.dsfe_dim, config.num_classes)]
+    return list(zip(dims, dims[1:])), branch
+
+
+def arena_size(config: ModelConfig) -> int:
+    """Floats in the parameter arena. The branch count multiplies, so a
+    checkpoint header's count is never expanded into a list."""
+    extractor, branch = (sum((i + 1) * o for i, o in shapes)
+                         for shapes in layer_shapes(config))
+    return extractor + config.num_branches * branch
+
+
 @dataclass
 class Branch:
     dsfe: LinearLayer
@@ -119,25 +138,30 @@ class Branch:
 
 
 class MsMdaModel:
-    """Common extractor plus N (feature layer, classifier) branches."""
+    """Common extractor plus N (feature layer, classifier) branches; every weight
+    and bias is a view of ``arena``, one 1 x ``arena_size`` parameter laid out
+    in ``layer_shapes`` order, each weight (row-major) before its bias."""
 
-    def __init__(self, config: ModelConfig, cfe: list[LinearLayer], branches: list[Branch]):
-        if len(branches) != config.num_branches:
-            raise ValidationError(
-                f"{len(branches)} branches built for num_branches={config.num_branches}"
-            )
+    def __init__(self, config: ModelConfig, arena: Parameter):
         self.config = config
-        self.cfe = cfe
-        self.branches = branches
+        self.arena = arena
+        extractor, branch = layer_shapes(config)
+        self.layers, start = [], 0  # every linear layer, in parameter order
+        for i, o in extractor + branch * config.num_branches:
+            weight, bias = arena.view(start, (i, o)), arena.view(start + i * o, (1, o))
+            self.layers.append(LinearLayer(weight, bias))
+            start += (i + 1) * o
+        n_cfe = len(config.cfe_dims)
+        self.cfe = self.layers[:n_cfe]
+        self.branches = [Branch(*self.layers[k:k + 2])
+                         for k in range(n_cfe, len(self.layers), 2)]
+
+    def __reduce__(self):
+        # a copy rebuilds its layers over its own copy of the arena
+        return MsMdaModel, (self.config, self.arena)
 
     def parameters(self) -> list[Parameter]:
-        params = []
-        for layer in self.cfe:
-            params.extend(layer.parameters())
-        for branch in self.branches:
-            params.extend(branch.dsfe.parameters())
-            params.extend(branch.dsc.parameters())
-        return params
+        return [p for layer in self.layers for p in layer.parameters()]
 
     @property
     def num_branches(self) -> int:
@@ -147,14 +171,10 @@ class MsMdaModel:
 def init_model(config: ModelConfig) -> MsMdaModel:
     """Build a model with fan-in-uniform weights from the config seed."""
     rng = np.random.default_rng(config.rng_seed)
-    dims = (config.input_dim,) + config.cfe_dims
-    cfe = [LinearLayer.init(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)]
-    branches = []
-    for _ in range(config.num_branches):
-        dsfe = LinearLayer.init(config.cfe_dims[-1], config.dsfe_dim, rng)
-        dsc = LinearLayer.init(config.dsfe_dim, config.num_classes, rng)
-        branches.append(Branch(dsfe=dsfe, dsc=dsc))
-    return MsMdaModel(config, cfe, branches)
+    model = MsMdaModel(config, Parameter(np.zeros((1, arena_size(config)))))
+    for layer in model.layers:  # LinearLayer.init's draws, in order; biases stay 0
+        layer.weight.value[...] = fan_in_uniform(*layer.weight.shape, rng)
+    return model
 
 
 def _forward(model: MsMdaModel, x: np.ndarray, offsets=None, cache: bool = False):
@@ -272,7 +292,7 @@ def train_step(
     lr: float = 0.01,
     kernel: KernelSpec | None = None,
 ) -> LossBreakdown:
-    """One full optimization step: losses, backprop, Adam on every parameter.
+    """One full optimization step: losses, backprop, one Adam step on the arena.
 
     A non-finite loss skips the update and is returned as-is so the caller
     can abort the run.
@@ -281,10 +301,8 @@ def train_step(
         model, source_batches, target_batch, alpha, beta,
         kernel=kernel, accumulate_grads=True,
     )
-    if not math.isfinite(breakdown.total):
-        return breakdown
-    for param in model.parameters():
-        adam_step(param, lr)
+    if math.isfinite(breakdown.total):
+        adam_step(model.arena, lr)
     return breakdown
 
 
@@ -315,87 +333,61 @@ def extract_branch_features(model: MsMdaModel, features, branch: int) -> np.ndar
 def save_checkpoint(model: MsMdaModel, path) -> None:
     """Versioned little-endian binary dump of config and parameter values.
 
-    Layout: magic, config record, then parameters in fixed traversal order
-    (CFE layers, then branches in index order; weight before bias,
-    row-major float64). Round-trips bit-exactly.
+    Layout: magic, config record, then the arena: CFE layers, then each
+    branch's feature layer and classifier, weight before bias, row-major
+    float64. Round-trips bit-exactly.
     """
     cfg = model.config
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack(
-            "<IIIIIdq",
-            cfg.input_dim,
-            len(cfg.cfe_dims),
-            cfg.dsfe_dim,
-            cfg.num_classes,
-            cfg.num_branches,
-            cfg.leaky_slope,
-            cfg.rng_seed,
-        ))
+        fh.write(struct.pack(_HEAD_FORMAT, cfg.input_dim, len(cfg.cfe_dims), cfg.dsfe_dim,
+                             cfg.num_classes, cfg.num_branches, cfg.leaky_slope, cfg.rng_seed))
         fh.write(struct.pack(f"<{len(cfg.cfe_dims)}I", *cfg.cfe_dims))
-        for param in model.parameters():
-            fh.write(np.ascontiguousarray(param.value, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(model.arena.value, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path) -> MsMdaModel:
     """Rebuild a model from a checkpoint; optimizer state starts fresh.
 
-    The payload size is worked out from the header before anything is
-    allocated, and the layers are filled straight from the payload. Any
-    header or payload value that fails validation is a DataError.
+    The header is read first and the payload size it implies is checked
+    against the file's size, so only the payload is ever read and nothing
+    is sized by the header before that check. An unreadable file, or any
+    header or payload value that fails validation, is a DataError.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise DataError(f"{path}: not a model checkpoint (bad magic)")
-    offset = len(CHECKPOINT_MAGIC)
-    head_fmt = "<IIIIIdq"
-    head_size = struct.calcsize(head_fmt)
     try:
-        input_dim, n_cfe, dsfe_dim, num_classes, num_branches, slope, seed = (
-            struct.unpack_from(head_fmt, blob, offset)
-        )
-        offset += head_size
-        cfe_dims = struct.unpack_from(f"<{n_cfe}I", blob, offset)
-        offset += n_cfe * 4
-    except struct.error as exc:
-        raise DataError(f"{path}: truncated checkpoint header") from exc
+        with open(path, "rb") as fh:
+            file_size = os.fstat(fh.fileno()).st_size
+            head = fh.read(len(CHECKPOINT_MAGIC) + struct.calcsize(_HEAD_FORMAT))
+            if head[:len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+                raise DataError(f"{path}: not a model checkpoint (bad magic)")
+            try:
+                input_dim, n_cfe, dsfe_dim, num_classes, num_branches, slope, seed = (
+                    struct.unpack_from(_HEAD_FORMAT, head, len(CHECKPOINT_MAGIC))
+                )
+            except struct.error as exc:
+                raise DataError(f"{path}: truncated checkpoint header") from exc
+            offset = len(head) + 4 * n_cfe
+            if offset > file_size:
+                raise DataError(f"{path}: truncated checkpoint header")
+            cfe_dims = struct.unpack(f"<{n_cfe}I", fh.read(4 * n_cfe))
+            try:
+                config = ModelConfig(num_branches=num_branches, input_dim=input_dim,
+                                     cfe_dims=cfe_dims, dsfe_dim=dsfe_dim,
+                                     num_classes=num_classes, leaky_slope=slope, rng_seed=seed)
+            except ValidationError as exc:
+                raise DataError(f"{path}: bad checkpoint header: {exc}") from exc
+            floats = arena_size(config)
+            extra = file_size - offset - 8 * floats
+            if extra < 0:
+                raise DataError(f"{path}: truncated checkpoint payload")
+            if extra > 0:
+                raise DataError(f"{path}: {extra} trailing bytes in checkpoint")
+            payload = fh.read(8 * floats)
+    except OSError as exc:
+        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
+    values = np.frombuffer(payload, "<f8").reshape(1, floats).astype(np.float64)
     try:
-        config = ModelConfig(
-            num_branches=num_branches,
-            input_dim=input_dim,
-            cfe_dims=cfe_dims,
-            dsfe_dim=dsfe_dim,
-            num_classes=num_classes,
-            leaky_slope=slope,
-            rng_seed=seed,
-        )
-    except ValidationError as exc:
-        raise DataError(f"{path}: bad checkpoint header: {exc}") from exc
-    dims = (input_dim,) + config.cfe_dims
-    cfe_shapes = list(zip(dims, dims[1:]))
-    branch_shapes = [(dims[-1], dsfe_dim), (dsfe_dim, num_classes)]
-    floats = (sum((i + 1) * o for i, o in cfe_shapes)
-              + num_branches * sum((i + 1) * o for i, o in branch_shapes))
-    extra = len(blob) - offset - 8 * floats
-    if extra < 0:
-        raise DataError(f"{path}: truncated checkpoint payload")
-    if extra > 0:
-        raise DataError(f"{path}: {extra} trailing bytes in checkpoint")
-
-    def take(rows, cols):  # a writable copy of the next rows x cols floats
-        nonlocal offset
-        start, offset = offset, offset + 8 * rows * cols
-        values = np.frombuffer(blob, "<f8", rows * cols, start)
-        return values.reshape(rows, cols).astype(np.float64)
-
-    def layer(in_dim, out_dim):
-        return LinearLayer(take(in_dim, out_dim), take(1, out_dim))
-
-    try:
-        cfe = [layer(i, o) for i, o in cfe_shapes]
-        branches = [Branch(*(layer(i, o) for i, o in branch_shapes))
-                    for _ in range(num_branches)]
+        arena = Parameter(values)
     except ValidationError as exc:
         raise DataError(f"{path}: bad checkpoint payload: {exc}") from exc
-    return MsMdaModel(config, cfe, branches)
+    return MsMdaModel(config, arena)

@@ -55,18 +55,33 @@ class Parameter:
     def zero_grad(self):
         self.grad[...] = 0.0
 
+    def view(self, start: int, shape: tuple[int, int]) -> "Parameter":
+        """Flat entries [start, start + size) of all four buffers, as views."""
+        part = Parameter.__new__(Parameter)
+        part.step_count, stop = 0, start + shape[0] * shape[1]
+        for name in ("value", "grad", "adam_m", "adam_v"):
+            setattr(part, name, getattr(self, name).reshape(-1)[start:stop].reshape(shape))
+        return part
+
+
+def fan_in_uniform(in_dim: int, out_dim: int, rng: np.random.Generator) -> np.ndarray:
+    """An in_dim x out_dim weight drawn uniform in +-sqrt(1 / in_dim) from ``rng``."""
+    bound = np.sqrt(1.0 / in_dim)
+    return rng.uniform(-bound, bound, size=(in_dim, out_dim))
+
 
 class LinearLayer:
     """Affine map ``y = x @ weight + bias`` with a manual backward pass.
 
     ``weight`` is in_dim x out_dim, ``bias`` is 1 x out_dim (broadcast per
-    row). The forward input is cached so backward can form the weight
-    gradient; calling backward before forward is a state error.
+    row); either may be given as a ``Parameter`` to train in place. The
+    forward input is cached so backward can form the weight gradient;
+    calling backward before forward is a state error.
     """
 
     def __init__(self, weight, bias):
-        self.weight = Parameter(weight)
-        self.bias = Parameter(bias)
+        self.weight = weight if isinstance(weight, Parameter) else Parameter(weight)
+        self.bias = bias if isinstance(bias, Parameter) else Parameter(bias)
         if self.bias.shape != (1, self.weight.shape[1]):
             raise ShapeError(
                 f"bias shape {self.bias.shape} incompatible with weight "
@@ -79,17 +94,7 @@ class LinearLayer:
         """Fan-in-scaled uniform weights, zero bias, drawn from ``rng``."""
         if in_dim < 1 or out_dim < 1:
             raise ValidationError(f"layer dims must be >= 1, got {in_dim}x{out_dim}")
-        bound = np.sqrt(1.0 / in_dim)
-        weight = rng.uniform(-bound, bound, size=(in_dim, out_dim))
-        return cls(weight, np.zeros((1, out_dim)))
-
-    @property
-    def in_dim(self) -> int:
-        return self.weight.shape[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weight.shape[1]
+        return cls(fan_in_uniform(in_dim, out_dim, rng), np.zeros((1, out_dim)))
 
     def forward(self, x, cache: bool = True) -> np.ndarray:
         x = as_matrix(x, "layer input", require_finite=False)
@@ -241,24 +246,19 @@ def finite_difference_check(
     tolerance: float = 1e-4,
     rng: np.random.Generator | None = None,
     max_entries_per_param: int | None = None,
-    grad_perturbation: float = 0.0,
 ) -> GradCheckReport:
     """Compare analytic gradients against central finite differences.
 
     ``loss_fn`` must return the scalar loss and, as a side effect, accumulate
     analytic gradients into each parameter's ``grad`` buffer; it must be
     deterministic. Every entry is checked unless ``max_entries_per_param``
-    caps it (then a seeded subsample via ``rng``). ``grad_perturbation`` is a
-    test fixture: it is added to the first analytic gradient entry so the
-    check's sensitivity can itself be verified.
+    caps it (then a seeded subsample via ``rng``).
     """
     params = list(params)
     for p in params:
         p.zero_grad()
     loss_fn()
     analytic = [p.grad.copy() for p in params]
-    if grad_perturbation != 0.0 and analytic:
-        analytic[0].ravel()[0] += grad_perturbation
 
     def loss_only():
         for p in params:

@@ -143,6 +143,30 @@ class TestDumpFeaturesCommand:
         assert "samples_per_domain must be >= 0" in capsys.readouterr().err
         assert not feat_dir.exists()
 
+    @pytest.mark.parametrize("make", [lambda p: None, lambda p: p.mkdir()],
+                             ids=["missing", "directory"])
+    def test_unreadable_checkpoint_is_data_error(self, tmp_path, capsys, make):
+        ckpt = tmp_path / "model.ckpt"
+        make(ckpt)
+        code = main(["dump-features", "--synth", synth_json(tmp_path), "--checkpoint",
+                     str(ckpt), "--out", str(tmp_path / "features")] + FAST)
+        assert code == 3
+        assert f"cannot read checkpoint {ckpt}" in capsys.readouterr().err
+
+    def test_diverged_checkpoint_is_data_error(self, tmp_path, capsys):
+        synth = synth_json(tmp_path)
+        out = tmp_path / "run"
+        assert main(["train", "--synth", synth, "--seeds", "0", "--lr", "1e154",
+                     "--out", str(out)] + FAST) == 0
+        assert json.loads((out / "summary.json").read_text())["aborted_folds"]
+        ckpt = out / "checkpoints" / "synthetic_seed0.ckpt"
+        feat_dir = tmp_path / "features"
+        code = main(["dump-features", "--synth", synth, "--checkpoint", str(ckpt),
+                     "--samples", "5", "--out", str(feat_dir)] + FAST)
+        assert code == 3
+        assert "branch 0 gives non-finite features on domain 0-0" in capsys.readouterr().err
+        assert list(feat_dir.iterdir()) == []
+
     def test_bad_checkpoint_is_data_error(self, tmp_path, capsys):
         ckpt = tmp_path / "bad.ckpt"
         ckpt.write_bytes(CHECKPOINT_MAGIC + struct.pack("<IIIIIdq", 8, 1, 6, 3, 2, 5.0, 0)

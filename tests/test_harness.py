@@ -29,6 +29,7 @@ from msmda.harness import (
     verify,
 )
 from msmda.model import ModelConfig, TrainConfig, load_checkpoint, predict
+from msmda.neuralcore import softmax_cross_entropy
 
 
 def small_config(**overrides):
@@ -384,8 +385,14 @@ class TestVerify:
         report = verify(suite)
         assert report.passed, report.describe()
 
-    def test_perturbed_gradient_fails(self):
-        report = verify("grad", grad_perturbation=1e-2)
+    def test_perturbed_gradient_fails(self, monkeypatch):
+        def perturbed(logits, labels):
+            loss, grad = softmax_cross_entropy(logits, labels)
+            grad[0, 0] += 1e-2
+            return loss, grad
+
+        monkeypatch.setattr("msmda.harness.softmax_cross_entropy", perturbed)
+        report = verify("grad")
         assert not report.passed
 
     def test_unknown_suite(self):

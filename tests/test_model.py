@@ -1,5 +1,7 @@
 import copy
+import pickle
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +24,14 @@ from msmda.model import (
     save_checkpoint,
     train_step,
 )
-from msmda.neuralcore import finite_difference_check, leaky_relu, softmax
+from msmda.neuralcore import (
+    LinearLayer,
+    Parameter,
+    adam_step,
+    finite_difference_check,
+    leaky_relu,
+    softmax,
+)
 
 TOY = ModelConfig(num_branches=3, input_dim=6, cfe_dims=(8, 6, 5),
                   dsfe_dim=4, num_classes=3, rng_seed=11)
@@ -86,6 +95,84 @@ class TestInitModel:
             ModelConfig(num_branches=1, cfe_dims=())
         with pytest.raises(ValidationError):
             ModelConfig(num_branches=1, leaky_slope=1.5)
+
+
+def traversal(model):
+    """Every layer in checkpoint order, from the public structure."""
+    return model.cfe + [layer for b in model.branches for layer in (b.dsfe, b.dsc)]
+
+
+class TestArena:
+    BUFFERS = ("value", "grad", "adam_m", "adam_v")
+
+    def test_layer_buffers_are_views_tiling_the_arena_in_order(self):
+        model = init_model(TOY)
+        layers = traversal(model)
+        size = model.arena.value.size
+        for name in self.BUFFERS:
+            getattr(model.arena, name)[0] = np.arange(size)  # seen through every view
+            flat = np.concatenate([getattr(p, name).ravel() for layer in layers
+                                   for p in (layer.weight, layer.bias)])
+            assert_array_equal(flat, np.arange(size))
+
+    def test_init_draws_follow_layer_order(self):
+        rng = np.random.default_rng(TOY.rng_seed)
+        shapes = [(6, 8), (8, 6), (6, 5)] + [(5, 4), (4, 3)] * 3
+        expected = [LinearLayer.init(i, o, rng) for i, o in shapes]
+        layers = traversal(init_model(TOY))
+        assert len(layers) == len(expected)
+        for layer, ref in zip(layers, expected):
+            assert_array_equal(layer.weight.value, ref.weight.value)
+            assert_array_equal(layer.bias.value, ref.bias.value)
+
+    def test_train_step_makes_one_adam_call(self, monkeypatch):
+        calls = []
+
+        def counting(param, lr, **kwargs):
+            calls.append(param)
+            adam_step(param, lr, **kwargs)
+
+        monkeypatch.setattr("msmda.model.adam_step", counting)
+        model = init_model(TOY)
+        batches, target = toy_batches(np.random.default_rng(20))
+        train_step(model, batches, target, alpha=0.5, beta=0.01, lr=0.01)
+        assert calls == [model.arena]
+
+    def test_flat_adam_equals_per_parameter_adam(self):
+        rng = np.random.default_rng(21)
+        model = init_model(TOY)
+        separate = [Parameter(p.value.copy()) for p in model.parameters()]
+        for _ in range(5):
+            for p, q in zip(model.parameters(), separate):
+                g = rng.normal(0.0, 1.0, p.shape)
+                p.grad += g
+                q.grad += g
+            adam_step(model.arena, lr=0.01)
+            for q in separate:
+                adam_step(q, lr=0.01)
+        for p, q in zip(model.parameters(), separate):
+            for name in self.BUFFERS:
+                assert getattr(p, name).tobytes() == getattr(q, name).tobytes()
+
+    @pytest.mark.parametrize("duplicate", [copy.deepcopy,
+                                           lambda m: pickle.loads(pickle.dumps(m))])
+    def test_copy_trains_like_the_original(self, duplicate):
+        rng = np.random.default_rng(22)
+        model = init_model(TOY)
+        steps = [toy_batches(rng) for _ in range(4)]
+        train_step(model, *steps[0], alpha=0.5, beta=0.01, lr=0.01)
+        clone = duplicate(model)
+        for name in self.BUFFERS:
+            for p in [model.arena] + model.parameters():
+                for q in [clone.arena] + clone.parameters():
+                    assert not np.shares_memory(getattr(p, name), getattr(q, name))
+        for batches, target in steps[1:]:
+            a = train_step(model, batches, target, alpha=0.5, beta=0.01, lr=0.01)
+            b = train_step(clone, batches, target, alpha=0.5, beta=0.01, lr=0.01)
+            assert a == b
+        assert clone.arena.step_count == model.arena.step_count == 4
+        for name in self.BUFFERS:
+            assert getattr(clone.arena, name).tobytes() == getattr(model.arena, name).tobytes()
 
 
 class TestComputeLosses:
@@ -174,8 +261,8 @@ class TestTrainStep:
         model = init_model(TOY)
         batches, target = toy_batches(rng)
         train_step(model, batches, target, alpha=0.5, beta=0.01, lr=0.01)
+        assert model.arena.step_count == 1  # every parameter is a view of it
         for p in model.parameters():
-            assert p.step_count == 1
             assert np.all(np.isfinite(p.value))
             assert_array_equal(p.grad, np.zeros_like(p.grad))  # consumed
 
@@ -388,6 +475,12 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="truncated"):
             load_checkpoint(path)
 
+    def test_huge_branch_count_rejected_before_allocating(self, tmp_path):
+        path = tmp_path / "branches.ckpt"
+        write_checkpoint_header(path, num_branches=2**32 - 1, payload=b"\x00" * 64)
+        with pytest.raises(DataError, match="truncated"):
+            load_checkpoint(path)
+
     def test_zero_branches_is_data_error(self, tmp_path):
         path = tmp_path / "zero.ckpt"
         write_checkpoint_header(path, num_branches=0)
@@ -411,13 +504,40 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="non-finite"):
             load_checkpoint(path)
 
+    def test_payload_is_layer_values_in_traversal_order(self, tmp_path):
+        model = init_model(TOY)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        layers = traversal(model)
+        payload = b"".join(p.value.astype("<f8").tobytes() for layer in layers
+                           for p in (layer.weight, layer.bias))
+        header = len(CHECKPOINT_MAGIC) + struct.calcsize("<IIIIIdq") + 4 * 3
+        assert path.read_bytes()[header:] == payload
+
+    def test_oversized_file_rejected_without_reading_it(self, tmp_path):
+        model = init_model(TOY)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        with open(path, "r+b") as fh:  # a sparse 64 MiB tail
+            fh.truncate(path.stat().st_size + 64 * 2**20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="trailing"):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_loaded_parameters_are_writable_copies(self, tmp_path):
         model = init_model(TOY)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
+        assert loaded.arena.value.flags.owndata  # a copy, not the file buffer
         for p in loaded.parameters():
-            assert p.value.flags.writeable and p.value.flags.owndata
+            assert p.value.flags.writeable
+            assert np.shares_memory(p.value, loaded.arena.value)
 
 
 class TestTrainingBehaviour:

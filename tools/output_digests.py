@@ -1,0 +1,122 @@
+"""Run a fixed matrix of msmda commands and print a digest of every file written.
+
+Usage: python tools/output_digests.py [WORKDIR]
+
+Every command runs in-process through ``msmda.cli.main``, imported from the
+``src/`` next to this script, on small generated data: a 3x4 CSV grid from
+``gen-synth`` and a 4-domain ``--synth`` config. The matrix covers gen-synth,
+train (cross-session, cross-subject, ``--loso``), baseline (order A and B),
+ablate, the synthetic train/baseline/ablate runs with each kernel, dump-features
+on a grid and a synthetic checkpoint, and one run that diverges. The stdout of
+every command is kept as ``stdout/<name>.txt`` with its exit code.
+
+The output is one ``sha256  relpath`` line per file, sorted by path. The work
+directory is replaced by ``<root>`` in ``config.json`` files and in captured
+stdout, so the listings of two checkouts can be compared with ``diff``. No
+expected digests are kept with this script: the bytes depend on the BLAS build.
+The files go to WORKDIR/matrix (WORKDIR defaults to a fresh temporary
+directory), which must not exist yet.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from msmda.cli import main  # noqa: E402
+
+NET = ["--cfe-dims", "16,12,8", "--dsfe-dim", "6", "--epochs", "3", "--batch-size", "32"]
+GRID_SYNTH = dict(num_domains=12, samples_per_domain=60, num_classes=3, feature_dim=10,
+                  class_separation=3.0, domain_shift_scale=1.0, noise_std=1.0, rng_seed=0)
+RUN_SYNTH = dict(num_domains=4, samples_per_domain=90, num_classes=3, feature_dim=8,
+                 class_separation=3.0, domain_shift_scale=1.0, noise_std=1.0, rng_seed=0)
+
+
+def commands(root: Path) -> list[tuple[str, list[str]]]:
+    grid, synth = str(root / "grid"), str(root / "synth.json")
+    data = ["--data", grid] + NET
+    synth_run = ["--synth", synth, "--seeds", "0,1"] + NET
+
+    def out(name):
+        return ["--out", str(root / "runs" / name)]
+
+    return [
+        ("gen-synth", ["gen-synth", "--synth", str(root / "grid_synth.json"),
+                       "--grid", "3x4", "--out", grid]),
+        ("train-cross-session", ["train", "--scenario", "cross-session",
+                                 "--seeds", "0,1,2"] + data + out("train-cross-session")),
+        ("train-cross-subject", ["train", "--scenario", "cross-subject",
+                                 "--seeds", "0,1,2"] + data + out("train-cross-subject")),
+        ("train-loso", ["train", "--scenario", "cross-subject", "--loso",
+                        "--seeds", "0,1"] + data + out("train-loso")),
+        ("baseline-cross-session-A", ["baseline", "--scenario", "cross-session", "--order", "A",
+                                      "--seeds", "0,1"] + data + out("baseline-cross-session-A")),
+        ("baseline-cross-subject-B", ["baseline", "--scenario", "cross-subject", "--order", "B",
+                                      "--seeds", "0,1,2"] + data
+         + out("baseline-cross-subject-B")),
+        ("ablate-both-grid", ["ablate", "--ablate", "both", "--scenario", "cross-session",
+                              "--seeds", "0"] + data + out("ablate-both-grid")),
+        ("synth-train-multiscale", ["train"] + synth_run + out("synth-train-multiscale")),
+        ("synth-train-fixed", ["train", "--kernel", "fixed"] + synth_run
+         + out("synth-train-fixed")),
+        ("synth-train-linear", ["train", "--kernel", "linear"] + synth_run
+         + out("synth-train-linear")),
+        ("synth-baseline", ["baseline"] + synth_run + out("synth-baseline")),
+        ("synth-ablate-mmd", ["ablate", "--ablate", "mmd"] + synth_run + out("synth-ablate-mmd")),
+        ("synth-ablate-both", ["ablate", "--ablate", "both"] + synth_run
+         + out("synth-ablate-both")),
+        ("dump-synth", ["dump-features", "--synth", synth, "--samples", "30", "--checkpoint",
+                        str(root / "runs/synth-train-multiscale/checkpoints/synthetic_seed0.ckpt"),
+                        "--out", str(root / "features/synth")] + NET),
+        ("dump-grid", ["dump-features", "--data", grid, "--scenario", "cross-subject",
+                       "--samples", "20", "--checkpoint",
+                       str(root / "runs/train-cross-subject/checkpoints/"
+                           "cross_subject-session1_seed0.ckpt"),
+                       "--out", str(root / "features/grid")] + NET),
+        ("diverging", ["train", "--synth", synth, "--seeds", "0", "--lr", "1e154"]
+         + NET + out("diverging")),
+    ]
+
+
+def run_matrix(root: Path) -> None:
+    root.mkdir(parents=True)
+    (root / "grid_synth.json").write_text(json.dumps(GRID_SYNTH))
+    (root / "synth.json").write_text(json.dumps(RUN_SYNTH))
+    (root / "stdout").mkdir()
+    for name, argv in commands(root):
+        captured = io.StringIO()
+        with contextlib.redirect_stdout(captured):
+            code = main(argv)
+        text = f"exit {code}\n{captured.getvalue()}"
+        (root / "stdout" / f"{name}.txt").write_text(text.replace(str(root), "<root>"))
+
+
+def digests(root: Path) -> list[str]:
+    lines = []
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.name == "config.json":
+            data = data.replace(str(root).encode(), b"<root>")
+        lines.append(f"{hashlib.sha256(data).hexdigest()}  {path.relative_to(root)}")
+    return lines
+
+
+def run(argv: list[str]) -> int:
+    if len(argv) > 1:
+        print("usage: python tools/output_digests.py [WORKDIR]", file=sys.stderr)
+        return 2
+    root = Path(argv[0] if argv else tempfile.mkdtemp(prefix="msmda-digests-")) / "matrix"
+    run_matrix(root.resolve())
+    print("\n".join(digests(root.resolve())))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(run(sys.argv[1:]))
