@@ -10,7 +10,7 @@ class ShapeError(ValidationError):
 
 
 class StateError(RuntimeError):
-    """Operation invoked in an invalid order (e.g. backward before forward)."""
+    """Object in a state the operation cannot use (e.g. a non-contiguous parameter)."""
 
 
 class DataError(Exception):

@@ -194,35 +194,37 @@ def train_fold(
     iters = train.iterations_per_epoch or iterations_per_epoch(prepared, train.batch_size)
 
     records: list[MetricsRecord] = []
-    for epoch in range(train.epochs):
-        w_mmd, w_disc = loss_weights(train, epoch)
-        sums = np.zeros(4)
-        for _ in range(iters):
-            source_batches, target_batch = sampler.next_batch()
-            bd = train_step(
-                model, source_batches, target_batch,
-                alpha=w_mmd, beta=w_disc, lr=train.lr, kernel=config.kernel,
-            )
-            if not math.isfinite(bd.total):
-                records.append(MetricsRecord(
-                    fold_id=task.fold_id, seed=seed, epoch=epoch,
-                    cls=bd.cls, mmd=bd.mmd, disc=bd.disc, total=bd.total,
-                    alpha=w_mmd, beta=w_disc, avg_accuracy=float("nan"),
-                    branch_accuracies=[], status="diverged",
-                ))
-                return records, model
-            sums += (bd.cls, bd.mmd, bd.disc, bd.total)
-        avg_probs, pred_labels, per_branch = predict(model, prepared.target.features)
-        branch_accs = [
-            _accuracy(np.argmax(p, axis=1), prepared.target.labels) for p in per_branch
-        ]
-        records.append(MetricsRecord(
-            fold_id=task.fold_id, seed=seed, epoch=epoch,
-            cls=sums[0] / iters, mmd=sums[1] / iters, disc=sums[2] / iters,
-            total=sums[3] / iters, alpha=w_mmd, beta=w_disc,
-            avg_accuracy=_accuracy(pred_labels, prepared.target.labels),
-            branch_accuracies=branch_accs,
-        ))
+    # a diverging fold overflows on purpose; its diverged row is the report
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(train.epochs):
+            w_mmd, w_disc = loss_weights(train, epoch)
+            sums = np.zeros(4)
+            for _ in range(iters):
+                source_batches, target_batch = sampler.next_batch()
+                bd = train_step(
+                    model, source_batches, target_batch,
+                    alpha=w_mmd, beta=w_disc, lr=train.lr, kernel=config.kernel,
+                )
+                if not math.isfinite(bd.total):
+                    records.append(MetricsRecord(
+                        fold_id=task.fold_id, seed=seed, epoch=epoch,
+                        cls=bd.cls, mmd=bd.mmd, disc=bd.disc, total=bd.total,
+                        alpha=w_mmd, beta=w_disc, avg_accuracy=float("nan"),
+                        branch_accuracies=[], status="diverged",
+                    ))
+                    return records, model
+                sums += (bd.cls, bd.mmd, bd.disc, bd.total)
+            avg_probs, pred_labels, per_branch = predict(model, prepared.target.features)
+            branch_accs = [
+                _accuracy(np.argmax(p, axis=1), prepared.target.labels) for p in per_branch
+            ]
+            records.append(MetricsRecord(
+                fold_id=task.fold_id, seed=seed, epoch=epoch,
+                cls=sums[0] / iters, mmd=sums[1] / iters, disc=sums[2] / iters,
+                total=sums[3] / iters, alpha=w_mmd, beta=w_disc,
+                avg_accuracy=_accuracy(pred_labels, prepared.target.labels),
+                branch_accuracies=branch_accs,
+            ))
     return records, model
 
 
@@ -436,23 +438,25 @@ def dump_features(
     dim = model.config.dsfe_dim
     header = ["domain", "branch", "label"] + [f"f{i}" for i in range(dim)]
     paths = []
-    for b in range(model.num_branches):
-        feats = [extract_branch_features(model, d.features[idx], b) for d, idx in sampled]
-        for (d, _), branch_feats in zip(sampled, feats):
-            if not np.all(np.isfinite(branch_feats)):
-                raise DataError(f"{checkpoint_path}: branch {b} gives non-finite features "
-                                f"on domain {d.domain_id[0]}-{d.domain_id[1]}")
-        path = os.path.join(out_dir, f"branch_{b:02d}.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for (d, idx), branch_feats in zip(sampled, feats):
-                for row, label in zip(branch_feats, d.labels[idx]):
-                    writer.writerow(
-                        [f"{d.domain_id[0]}-{d.domain_id[1]}", str(b), str(int(label))]
-                        + [repr(float(v)) for v in row]
-                    )
-        paths.append(path)
+    # a diverged checkpoint overflows; the DataError below is the report
+    with np.errstate(over="ignore", invalid="ignore"):
+        per_domain = [extract_branch_features(model, d.features[idx]) for d, idx in sampled]
+        for b, feats in enumerate(zip(*per_domain)):
+            for (d, _), branch_feats in zip(sampled, feats):
+                if not np.all(np.isfinite(branch_feats)):
+                    raise DataError(f"{checkpoint_path}: branch {b} gives non-finite features "
+                                    f"on domain {d.domain_id[0]}-{d.domain_id[1]}")
+            path = os.path.join(out_dir, f"branch_{b:02d}.csv")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(header)
+                for (d, idx), branch_feats in zip(sampled, feats):
+                    for row, label in zip(branch_feats, d.labels[idx]):
+                        writer.writerow(
+                            [f"{d.domain_id[0]}-{d.domain_id[1]}", str(b), str(int(label))]
+                            + [repr(float(v)) for v in row]
+                        )
+            paths.append(path)
     return paths
 
 
@@ -505,10 +509,11 @@ def composite_gradcheck_case(data_seed: int = 294, model_seed: int = 0, rows: in
     ]
     target = rng.uniform(-1.0, 1.0, (rows, 6))
 
-    cfe_pres, branches = _forward(model, np.vstack([b[0] for b in batches] + [target]))
+    cfe, branches = _forward(model, np.vstack([b[0] for b in batches] + [target]))
     branches = list(branches)
-    margin = min(float(np.abs(z).min()) for z in cfe_pres + [z1 for z1, _, _ in branches])
-    probs = [softmax(logits[3 * rows:]) for _, _, logits in branches]
+    pres = [z for _, z in cfe] + [z1 for _, z1, _, _ in branches]
+    margin = min(float(np.abs(z).min()) for z in pres)
+    probs = [softmax(logits[3 * rows:]) for _, _, _, logits in branches]
     for i in range(len(probs)):
         for j in range(i + 1, len(probs)):
             margin = min(margin, float(np.abs(probs[i] - probs[j]).min()))
@@ -573,7 +578,7 @@ def _grad_items() -> list[VerifyItem]:
     def linear_ce():
         logits = layer.forward(x)
         loss, grad = softmax_cross_entropy(logits, labels)
-        layer.backward(grad)
+        layer.backward(x, grad)
         return loss
 
     add("linear+cross-entropy gradients",
@@ -622,8 +627,7 @@ def _grad_items() -> list[VerifyItem]:
     kernel = KernelSpec(kind="rbf_fixed", fixed_bandwidth=1.0)
 
     def composite():
-        bd = compute_losses(model, batches, target, alpha=0.7, beta=0.05,
-                            kernel=kernel, accumulate_grads=True)
+        bd = compute_losses(model, batches, target, alpha=0.7, beta=0.05, kernel=kernel)
         return bd.total
 
     if margin <= 1e-4:

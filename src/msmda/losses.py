@@ -301,16 +301,17 @@ def alpha_schedule(epoch_index: int, total_epochs: int) -> float:
 
 
 def total_loss(cls: float, mmd: float, disc: float, alpha: float, beta: float) -> LossBreakdown:
-    """Weighted total cls + alpha * mmd + beta * disc; components stored raw."""
-    for name, v in (("cls", cls), ("mmd", mmd), ("disc", disc),
-                    ("alpha", alpha), ("beta", beta)):
-        if not math.isfinite(v):
-            raise ValidationError(f"non-finite {name} component: {v}")
+    """Weighted total cls + alpha * mmd + beta * disc; components stored raw.
+
+    A non-finite input makes the total NaN, the mark of a diverged step.
+    """
+    finite = all(math.isfinite(v) for v in (cls, mmd, disc, alpha, beta))
+    total = cls + alpha * mmd + beta * disc if finite else math.nan
     return LossBreakdown(
         cls=float(cls),
         mmd=float(mmd),
         disc=float(disc),
-        total=float(cls + alpha * mmd + beta * disc),
+        total=float(total),
         alpha=float(alpha),
         beta=float(beta),
     )

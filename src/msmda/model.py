@@ -10,7 +10,6 @@ Inference averages the branch softmax outputs.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import struct
@@ -97,8 +96,10 @@ class TrainConfig:
             raise ValidationError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValidationError("batch_size must be >= 1")
-        if self.lr <= 0:
-            raise ValidationError("lr must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValidationError(f"lr must be a positive finite number, got {self.lr}")
+        if not math.isfinite(self.beta_weight):
+            raise ValidationError(f"beta_weight must be finite, got {self.beta_weight}")
         if not 0.0 <= self.disc_start_fraction <= 1.0:
             raise ValidationError("disc_start_fraction must be in [0, 1]")
         if self.iterations_per_epoch is not None and self.iterations_per_epoch < 1:
@@ -177,29 +178,31 @@ def init_model(config: ModelConfig) -> MsMdaModel:
     return model
 
 
-def _forward(model: MsMdaModel, x: np.ndarray, offsets=None, cache: bool = False):
-    """Extractor pre-activations, plus a lazy iterator of each branch's
-    (pre-activation, features, logits), so only one branch is held at a time.
+def _forward(model: MsMdaModel, x: np.ndarray, offsets=None):
+    """Each extractor layer's (input, pre-activation), plus a lazy iterator of
+    each branch's (rows, pre-activation, features, logits), so only one
+    branch is held at a time; ``rows`` is what the branch's feature layer saw.
 
     With ``offsets`` (row bounds of the stacked sources, then the target)
     branch i sees its source rows, then the target rows; else every row.
     """
     slope = model.config.leaky_slope
-    pres = []
+    cfe = []
     h = x
     for layer in model.cfe:
-        pres.append(layer.forward(h, cache=cache))
-        h = leaky_relu(pres[-1], slope)
+        z = layer.forward(h)
+        cfe.append((h, z))
+        h = leaky_relu(z, slope)
 
     def branches():
         for i, branch in enumerate(model.branches):
             rows = h if offsets is None else np.vstack(
                 [h[offsets[i]:offsets[i + 1]], h[offsets[-2]:]])
-            z = branch.dsfe.forward(rows, cache=cache)
+            z = branch.dsfe.forward(rows)
             r = leaky_relu(z, slope)
-            yield z, r, branch.dsc.forward(r, cache=cache)
+            yield rows, z, r, branch.dsc.forward(r)
 
-    return pres, branches()
+    return cfe, branches()
 
 
 def _input_matrix(model: MsMdaModel, x, name: str) -> np.ndarray:
@@ -219,16 +222,16 @@ def compute_losses(
     alpha: float,
     beta: float,
     kernel: KernelSpec | None = None,
-    accumulate_grads: bool = False,
 ) -> LossBreakdown:
-    """Forward (and optionally backward) pass of one training step.
+    """Forward and backward pass of one training step.
 
     Runs the common extractor once on all batches stacked together, then
     each branch on (its source, target). Per-branch MMD values are averaged
     into the mmd component; classification sums over branches; discrepancy
-    compares the branches' target softmax outputs. With
-    ``accumulate_grads`` the weighted total is backpropagated into every
-    parameter's grad buffer (no optimizer step).
+    compares the branches' target softmax outputs. A finite weighted total
+    is backpropagated, from the activations the forward returned, into
+    every parameter's grad buffer (no optimizer step); a non-finite one is
+    returned without a backward.
     """
     kernel = kernel or KernelSpec()
     if len(source_batches) != model.num_branches:
@@ -245,41 +248,38 @@ def compute_losses(
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     slope = model.config.leaky_slope
 
-    cfe_pres, branches = _forward(model, np.vstack(feats), offsets, cache=accumulate_grads)
+    cfe, branches = _forward(model, np.vstack(feats), offsets)
     saved, logits_src, probs_tgt, mmd_values = [], [], [], []
-    for (z1, r, logits), n_src in zip(branches, sizes):
+    for (rows, z1, r, logits), n_src in zip(branches, sizes):
         value, g_src, g_tgt = mmd_squared(r[:n_src], r[n_src:], kernel)
         mmd_values.append(value)
-        saved.append((z1, g_src, g_tgt))
+        saved.append((rows, z1, r, g_src, g_tgt))
         logits_src.append(logits[:n_src])
         probs_tgt.append(softmax(logits[n_src:]))
 
     cls_value, cls_grads = classification_loss(logits_src, [y for _, y in source_batches])
     disc_value, disc_grads = discrepancy_loss(probs_tgt)
-    mmd_value = float(np.mean(mmd_values))
-    finite = all(math.isfinite(v) for v in (cls_value, mmd_value, disc_value))
-    if finite:
-        breakdown = total_loss(cls_value, mmd_value, disc_value, alpha, beta)
-    else:
-        # diverged run: report the damage instead of raising mid-training
-        breakdown = LossBreakdown(cls=cls_value, mmd=mmd_value, disc=disc_value,
-                                  total=float("nan"), alpha=alpha, beta=beta)
+    breakdown = total_loss(cls_value, float(np.mean(mmd_values)), disc_value, alpha, beta)
+    if not math.isfinite(breakdown.total):
+        return breakdown  # diverged run: report the damage, run no backward
 
-    if accumulate_grads and finite:
-        grad_q = np.zeros_like(cfe_pres[-1])
-        for i, (branch, n_src) in enumerate(zip(model.branches, sizes)):
-            z1, g_src, g_tgt = saved[i]
-            g_logits_tgt = softmax_backward(beta * disc_grads[i], probs_tgt[i])
-            g_r = branch.dsc.backward(np.vstack([cls_grads[i], g_logits_tgt]))
-            # mmd component is the branch mean, so each branch carries alpha/N
-            g_r[:n_src] += (alpha / model.num_branches) * g_src
-            g_r[n_src:] += (alpha / model.num_branches) * g_tgt
-            g_joined = branch.dsfe.backward(leaky_relu_backward(g_r, z1, slope))
-            grad_q[offsets[i]:offsets[i + 1]] += g_joined[:n_src]
-            grad_q[offsets[-2]:offsets[-1]] += g_joined[n_src:]
-        g = grad_q
-        for layer, z in zip(reversed(model.cfe), reversed(cfe_pres)):
-            g = layer.backward(leaky_relu_backward(g, z, slope))
+    grad_q = np.zeros_like(cfe[-1][1])
+    # release each activation once consumed: a lower peak leaves fewer pages to refault
+    for i, (branch, n_src) in enumerate(zip(model.branches, sizes)):
+        rows, z1, r, g_src, g_tgt = saved[i]
+        saved[i] = None
+        g_logits_tgt = softmax_backward(beta * disc_grads[i], probs_tgt[i])
+        g_r = branch.dsc.backward(r, np.vstack([cls_grads[i], g_logits_tgt]))
+        # mmd component is the branch mean, so each branch carries alpha/N
+        g_r[:n_src] += (alpha / model.num_branches) * g_src
+        g_r[n_src:] += (alpha / model.num_branches) * g_tgt
+        g_joined = branch.dsfe.backward(rows, leaky_relu_backward(g_r, z1, slope))
+        grad_q[offsets[i]:offsets[i + 1]] += g_joined[:n_src]
+        grad_q[offsets[-2]:offsets[-1]] += g_joined[n_src:]
+    g = grad_q
+    for layer in reversed(model.cfe):
+        h, z = cfe.pop()
+        g = layer.backward(h, leaky_relu_backward(g, z, slope))
     return breakdown
 
 
@@ -297,10 +297,7 @@ def train_step(
     A non-finite loss skips the update and is returned as-is so the caller
     can abort the run.
     """
-    breakdown = compute_losses(
-        model, source_batches, target_batch, alpha, beta,
-        kernel=kernel, accumulate_grads=True,
-    )
+    breakdown = compute_losses(model, source_batches, target_batch, alpha, beta, kernel)
     if math.isfinite(breakdown.total):
         adam_step(model.arena, lr)
     return breakdown
@@ -309,25 +306,20 @@ def train_step(
 def predict(model: MsMdaModel, target_features):
     """Average the branch softmax outputs; ties go to the lowest class.
 
-    Returns (avg_probs, labels, per_branch_probs) without touching any
-    cached layer state.
+    Returns (avg_probs, labels, per_branch_probs).
     """
     _, branches = _forward(model, _input_matrix(model, target_features, "target features"))
-    per_branch = [softmax(logits) for _, _, logits in branches]
+    per_branch = [softmax(logits) for _, _, _, logits in branches]
     avg = np.mean(per_branch, axis=0)
     labels = np.argmax(avg, axis=1).astype(np.int64)
     return avg, labels, per_branch
 
 
-def extract_branch_features(model: MsMdaModel, features, branch: int) -> np.ndarray:
-    """Branch feature-layer output (the classifier's input), state-free."""
-    if not 0 <= branch < model.num_branches:
-        raise ValidationError(
-            f"branch {branch} out of range for {model.num_branches} branches"
-        )
+def extract_branch_features(model: MsMdaModel, features):
+    """Every branch's feature-layer output (the classifier's input), in
+    branch order, lazily from one extractor pass over ``features``."""
     _, branches = _forward(model, _input_matrix(model, features, "features"))
-    _, r, _ = next(itertools.islice(branches, branch, None))
-    return r
+    return (r for _, _, r, _ in branches)
 
 
 def save_checkpoint(model: MsMdaModel, path) -> None:

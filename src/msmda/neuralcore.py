@@ -75,8 +75,8 @@ class LinearLayer:
 
     ``weight`` is in_dim x out_dim, ``bias`` is 1 x out_dim (broadcast per
     row); either may be given as a ``Parameter`` to train in place. The
-    forward input is cached so backward can form the weight gradient;
-    calling backward before forward is a state error.
+    layer holds nothing else: backward is given the forward input ``x``
+    that the weight gradient needs.
     """
 
     def __init__(self, weight, bias):
@@ -87,7 +87,6 @@ class LinearLayer:
                 f"bias shape {self.bias.shape} incompatible with weight "
                 f"shape {self.weight.shape}; expected (1, {self.weight.shape[1]})"
             )
-        self.cached_input: np.ndarray | None = None
 
     @classmethod
     def init(cls, in_dim: int, out_dim: int, rng: np.random.Generator) -> "LinearLayer":
@@ -96,28 +95,30 @@ class LinearLayer:
             raise ValidationError(f"layer dims must be >= 1, got {in_dim}x{out_dim}")
         return cls(fan_in_uniform(in_dim, out_dim, rng), np.zeros((1, out_dim)))
 
-    def forward(self, x, cache: bool = True) -> np.ndarray:
+    def _input(self, x) -> np.ndarray:
         x = as_matrix(x, "layer input", require_finite=False)
         if x.shape[1] != self.weight.shape[0]:
             raise ShapeError(
                 f"input shape {x.shape} incompatible with weight shape "
                 f"{self.weight.shape}"
             )
-        if cache:
-            self.cached_input = x
-        return x @ self.weight.value + self.bias.value
+        return x
 
-    def backward(self, grad_out) -> np.ndarray:
-        if self.cached_input is None:
-            raise StateError("linear backward called before forward")
+    def forward(self, x) -> np.ndarray:
+        return self._input(x) @ self.weight.value + self.bias.value
+
+    def backward(self, x, grad_out) -> np.ndarray:
+        """Accumulate the weight and bias gradients at forward input ``x``;
+        return the gradient with respect to ``x``."""
+        x = self._input(x)
         grad_out = as_matrix(grad_out, "grad_out", require_finite=False)
-        expected = (self.cached_input.shape[0], self.weight.shape[1])
+        expected = (x.shape[0], self.weight.shape[1])
         if grad_out.shape != expected:
             raise ShapeError(
                 f"grad_out shape {grad_out.shape} does not match forward "
                 f"output shape {expected}"
             )
-        self.weight.grad += self.cached_input.T @ grad_out
+        self.weight.grad += x.T @ grad_out
         self.bias.grad += grad_out.sum(axis=0, keepdims=True)
         return grad_out @ self.weight.value.T
 

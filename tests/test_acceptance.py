@@ -131,7 +131,7 @@ def test_criterion_2_gradient_correctness():
 
     def linear_ce():
         loss, grad = softmax_cross_entropy(layer.forward(x), labels)
-        layer.backward(grad)
+        layer.backward(x, grad)
         return loss
 
     check("linear layer", linear_ce, layer.parameters())
@@ -187,7 +187,7 @@ def test_criterion_2_gradient_correctness():
 
     def composite():
         return compute_losses(model, batches, target, alpha=0.7, beta=0.05,
-                              kernel=kernel, accumulate_grads=True).total
+                              kernel=kernel).total
 
     check("full composite (3-branch toy)", composite, model.parameters())
 

@@ -59,6 +59,17 @@ class TestExitCodes:
     def test_bad_seeds_string(self, tmp_path):
         assert main(["train", "--synth", synth_json(tmp_path), "--seeds", "a,b"]) == 1
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--lr", "nan"), ("--lr", "inf"), ("--beta", "nan"), ("--beta", "inf"),
+    ])
+    def test_non_finite_rate_is_validation_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "run"
+        assert main(["train", "--synth", synth_json(tmp_path), "--seeds", "0",
+                     flag, value, "--out", str(out)] + FAST) == 1
+        field = {"--lr": "lr", "--beta": "beta_weight"}[flag]
+        assert f"{field} must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_repeated_seed_is_validation_error(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["train", "--synth", synth_json(tmp_path), "--seeds", "0,0",

@@ -29,7 +29,7 @@ from msmda.harness import (
     verify,
 )
 from msmda.model import ModelConfig, TrainConfig, load_checkpoint, predict
-from msmda.neuralcore import softmax_cross_entropy
+from msmda.neuralcore import LinearLayer, softmax_cross_entropy
 
 
 def small_config(**overrides):
@@ -339,6 +339,21 @@ class TestDumpFeatures:
         dump_features(config, ckpt, a, samples_per_domain=5, log=lambda m: None)
         dump_features(config, ckpt, b, samples_per_domain=5, log=lambda m: None)
         assert (a / "branch_00.csv").read_bytes() == (b / "branch_00.csv").read_bytes()
+
+    def test_one_extractor_pass_per_domain(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        config = small_config(
+            synth=replace(small_config().synth, num_domains=4), out_dir=str(out))
+        run_experiment(config)
+        ckpt = next((out / "checkpoints").iterdir())
+        calls = []
+        forward = LinearLayer.forward
+        monkeypatch.setattr(LinearLayer, "forward",
+                            lambda layer, x: calls.append(1) or forward(layer, x))
+        paths = dump_features(config, ckpt, tmp_path / "feat", samples_per_domain=5)
+        assert len(paths) == 3
+        # per domain: 3 extractor layers, then 2 layers in each of 3 branches
+        assert len(calls) == 4 * 9
 
     def test_bad_fold_index(self, tmp_path):
         out = tmp_path / "run"

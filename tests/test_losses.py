@@ -499,11 +499,14 @@ class TestTotalLoss:
     def test_all_zero(self):
         assert total_loss(0.0, 0.0, 0.0, 0.0, 0.0).total == 0.0
 
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValidationError):
-            total_loss(float("nan"), 0.0, 0.0, 0.0, 0.0)
-        with pytest.raises(ValidationError):
-            total_loss(0.0, float("inf"), 0.0, 1.0, 0.0)
+    def test_non_finite_component_gives_nan_total(self):
+        bd = total_loss(float("nan"), 0.5, 0.25, 0.0, 0.0)
+        assert math.isnan(bd.total) and math.isnan(bd.cls)
+        assert (bd.mmd, bd.disc) == (0.5, 0.25)
+        bd = total_loss(2.0, float("inf"), 0.25, 1.0, 0.0)
+        assert math.isnan(bd.total)
+        assert (bd.cls, bd.mmd, bd.disc) == (2.0, float("inf"), 0.25)  # stored raw
+        assert math.isnan(total_loss(2.0, 0.5, 0.25, 1.0, float("nan")).total)
 
     @given(
         st.floats(-10, 10), st.floats(0, 10), st.floats(0, 10),

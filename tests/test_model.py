@@ -182,8 +182,7 @@ class TestComputeLosses:
         reference = copy.deepcopy(model)
         batches, target = toy_batches(rng)
 
-        compute_losses(model, batches, target, alpha=0.0, beta=0.0,
-                       kernel=FIXED_KERNEL, accumulate_grads=True)
+        compute_losses(model, batches, target, alpha=0.0, beta=0.0, kernel=FIXED_KERNEL)
 
         # manual oracle: push each source batch through its own forward and
         # backward, one branch at a time, cross-entropy only
@@ -191,21 +190,21 @@ class TestComputeLosses:
         for i, branch in enumerate(reference.branches):
             feats, labels = batches[i]
             h = feats
-            pres = []
+            acts = []
             for layer in reference.cfe:
                 z = layer.forward(h)
-                pres.append(z)
+                acts.append((h, z))
                 h = leaky_relu(z, slope)
             z1 = branch.dsfe.forward(h)
             r = leaky_relu(z1, slope)
             logits = branch.dsc.forward(r)
             _, grads = classification_loss([logits], [labels])
-            g = branch.dsc.backward(grads[0])
+            g = branch.dsc.backward(r, grads[0])
             g = g * np.where(z1 > 0, 1.0, slope)
-            g = branch.dsfe.backward(g)
-            for layer, z in zip(reversed(reference.cfe), reversed(pres)):
+            g = branch.dsfe.backward(h, g)
+            for layer, (x, z) in zip(reversed(reference.cfe), reversed(acts)):
                 g = g * np.where(z > 0, 1.0, slope)
-                g = layer.backward(g)
+                g = layer.backward(x, g)
 
         for p, q in zip(model.parameters(), reference.parameters()):
             assert_allclose(p.grad, q.grad, rtol=1e-10, atol=1e-14)
@@ -226,7 +225,7 @@ class TestComputeLosses:
 
         def loss_fn():
             bd = compute_losses(model, batches, target, alpha=0.7, beta=0.05,
-                                kernel=FIXED_KERNEL, accumulate_grads=True)
+                                kernel=FIXED_KERNEL)
             return bd.total
 
         report = finite_difference_check(loss_fn, model.parameters())
@@ -238,6 +237,16 @@ class TestComputeLosses:
         batches, target = toy_batches(rng)
         bd = compute_losses(model, batches, target, alpha=0.3, beta=0.02)
         assert bd.total == bd.cls + 0.3 * bd.mmd + 0.02 * bd.disc
+
+    def test_non_finite_total_skips_backward(self):
+        rng = np.random.default_rng(16)
+        model = init_model(TOY)
+        model.branches[1].dsc.weight.value[...] = np.inf  # overflowing logits
+        batches, target = toy_batches(rng)
+        with np.errstate(over="ignore", invalid="ignore"):
+            bd = compute_losses(model, batches, target, alpha=0.3, beta=0.02)
+        assert np.isnan(bd.total)
+        assert_array_equal(model.arena.grad, np.zeros_like(model.arena.grad))
 
     def test_branch_count_mismatch(self):
         rng = np.random.default_rng(4)
@@ -366,29 +375,29 @@ class TestPredict:
     def test_predict_leaves_no_cached_state(self):
         rng = np.random.default_rng(12)
         model = init_model(TOY)
+        batches, target = toy_batches(rng)
+        train_step(model, batches, target, alpha=0.5, beta=0.01)
         predict(model, rng.uniform(-1, 1, (4, 6)))
-        for layer in model.cfe:
-            assert layer.cached_input is None
+        for layer in model.layers:
+            assert set(vars(layer)) == {"weight", "bias"}
 
 
 class TestExtractBranchFeatures:
     def test_output_width_is_feature_dim(self):
         rng = np.random.default_rng(13)
         model = init_model(TOY)
-        out = extract_branch_features(model, rng.uniform(-1, 1, (7, 6)), 1)
-        assert out.shape == (7, 4)
+        outs = list(extract_branch_features(model, rng.uniform(-1, 1, (7, 6))))
+        assert [out.shape for out in outs] == [(7, 4)] * 3
         default_model = init_model(ModelConfig(num_branches=1))
-        out = extract_branch_features(
-            default_model, rng.uniform(-1, 1, (2, 310)), 0)
+        [out] = extract_branch_features(default_model, rng.uniform(-1, 1, (2, 310)))
         assert out.shape == (2, 32)
 
     def test_deterministic(self):
         rng = np.random.default_rng(14)
         model = init_model(TOY)
         x = rng.uniform(-1, 1, (5, 6))
-        assert_array_equal(
-            extract_branch_features(model, x, 0), extract_branch_features(model, x, 0)
-        )
+        for a, b in zip(extract_branch_features(model, x), extract_branch_features(model, x)):
+            assert_array_equal(a, b)
 
     def test_matches_train_step_internals(self):
         rng = np.random.default_rng(15)
@@ -398,22 +407,18 @@ class TestExtractBranchFeatures:
         feats = [f for f, _ in batches] + [target]
         offsets = np.concatenate([[0], np.cumsum([f.shape[0] for f in feats])])
         _, branches = _forward(model, np.vstack(feats), offsets)
-        branch_features = [r for _, r, _ in branches]
+        branch_features = [r for _, _, r, _ in branches]
+        target_features = list(extract_branch_features(model, target))
         for i in range(3):
             n_src = batches[i][0].shape[0]
             assert_allclose(
-                extract_branch_features(model, batches[i][0], i),
+                list(extract_branch_features(model, batches[i][0]))[i],
                 branch_features[i][:n_src], rtol=1e-12, atol=1e-15,
             )
             assert_allclose(
-                extract_branch_features(model, target, i),
+                target_features[i],
                 branch_features[i][n_src:], rtol=1e-12, atol=1e-15,
             )
-
-    def test_branch_out_of_range(self):
-        model = init_model(TOY)
-        with pytest.raises(ValidationError):
-            extract_branch_features(model, np.zeros((1, 6)), 3)
 
 
 def write_checkpoint_header(path, input_dim=6, cfe_dims=(8, 6, 5), dsfe_dim=4,

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from msmda.errors import ShapeError, StateError, ValidationError
+from msmda.errors import ShapeError, ValidationError
 from msmda.neuralcore import (
     LinearLayer,
     Parameter,
@@ -58,40 +58,42 @@ class TestLinearBackward:
     def test_zero_grad_out(self):
         rng = np.random.default_rng(1)
         layer = LinearLayer.init(3, 2, rng)
-        layer.forward(rng.uniform(-1, 1, (5, 3)))
-        grad_in = layer.backward(np.zeros((5, 2)))
+        grad_in = layer.backward(rng.uniform(-1, 1, (5, 3)), np.zeros((5, 2)))
         assert_array_equal(grad_in, np.zeros((5, 3)))
         assert_array_equal(layer.weight.grad, np.zeros((3, 2)))
         assert_array_equal(layer.bias.grad, np.zeros((1, 2)))
 
     def test_scalar_chain_rule(self):
         layer = make_layer([[2.0]], [[0.0]])
-        layer.forward(np.array([[3.0]]))
-        grad_in = layer.backward(np.array([[1.0]]))
+        grad_in = layer.backward(np.array([[3.0]]), np.array([[1.0]]))
         assert layer.weight.grad[0, 0] == 3.0
         assert grad_in[0, 0] == 2.0
 
-    def test_backward_before_forward(self):
+    def test_mismatched_input_is_shape_error(self):
         layer = make_layer(np.zeros((2, 2)), np.zeros((1, 2)))
-        with pytest.raises(StateError):
-            layer.backward(np.zeros((1, 2)))
+        for x_shape, grad_shape in [
+            ((1, 3), (1, 2)),  # x width is not the weight's in_dim
+            ((3, 2), (1, 2)),  # x and grad_out rows disagree
+            ((1, 2), (1, 3)),  # grad_out width is not the weight's out_dim
+        ]:
+            with pytest.raises(ShapeError):
+                layer.backward(np.ones(x_shape), np.ones(grad_shape))
+        assert_array_equal(layer.weight.grad, np.zeros((2, 2)))
+        assert_array_equal(layer.bias.grad, np.zeros((1, 2)))
 
     def test_grad_shapes_round_trip(self):
         rng = np.random.default_rng(2)
         layer = LinearLayer.init(6, 4, rng)
         x = rng.uniform(-1, 1, (9, 6))
-        layer.forward(x)
-        grad_in = layer.backward(rng.uniform(-1, 1, (9, 4)))
+        grad_in = layer.backward(x, rng.uniform(-1, 1, (9, 4)))
         assert grad_in.shape == x.shape
         assert layer.weight.grad.shape == layer.weight.shape
         assert layer.bias.grad.shape == layer.bias.shape
 
     def test_grads_accumulate_across_calls(self):
         layer = make_layer([[1.0]], [[0.0]])
-        layer.forward(np.array([[2.0]]))
-        layer.backward(np.array([[1.0]]))
-        layer.forward(np.array([[2.0]]))
-        layer.backward(np.array([[1.0]]))
+        layer.backward(np.array([[2.0]]), np.array([[1.0]]))
+        layer.backward(np.array([[2.0]]), np.array([[1.0]]))
         assert layer.weight.grad[0, 0] == 4.0
 
     def test_matches_finite_differences(self):
@@ -102,7 +104,7 @@ class TestLinearBackward:
 
         def loss_fn():
             loss, grad = softmax_cross_entropy(layer.forward(x), labels)
-            layer.backward(grad)
+            layer.backward(x, grad)
             return loss
 
         report = finite_difference_check(loss_fn, layer.parameters())
@@ -248,7 +250,7 @@ class TestFiniteDifferenceCheck:
 
         def loss_fn():
             loss, grad = softmax_cross_entropy(layer.forward(x), labels)
-            layer.backward(grad)
+            layer.backward(x, grad)
             return loss
 
         report = finite_difference_check(loss_fn, layer.parameters())
