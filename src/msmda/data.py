@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, replace
 
@@ -24,6 +25,13 @@ NORMALIZATION_ORDERS = ("A", "B")
 SCENARIOS = ("cross_session", "cross_subject", "synthetic")
 
 COMBINED_DOMAIN_ID = (-1, -1)
+
+
+def check_seed(name: str, value) -> int:
+    """``value`` as an int if it is a valid numpy seed (a non-negative integer)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ValidationError(f"{name} must be a non-negative integer, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -122,6 +130,7 @@ class SynthConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        check_seed("rng_seed", self.rng_seed)
         for name in ("num_domains", "samples_per_domain", "num_classes", "feature_dim"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")

@@ -26,6 +26,7 @@ from .data import (
     SynthConfig,
     TransferTask,
     apply_multi_source_normalization,
+    check_seed,
     generate_synthetic,
     iterations_per_epoch,
     load_dataset_grid,
@@ -97,7 +98,7 @@ class ExperimentConfig:
             raise ValidationError("specify exactly one of data_root or synth")
         if not self.seeds:
             raise ValidationError("seeds must be nonempty")
-        self.seeds = tuple(int(s) for s in self.seeds)
+        self.seeds = tuple(check_seed("every seed", s) for s in self.seeds)
         if len(set(self.seeds)) != len(self.seeds):
             raise ValidationError(f"seeds must be distinct, got {list(self.seeds)}")
         if self.method not in METHODS:

@@ -185,8 +185,12 @@ def _rbf_block(d2, a, b, divisors, coeff, grad_a, grad_b, work):
             grad_k += e
         prev = div
     scale = coeff * (-2.0 / len(divisors)) / prev
-    grad_a += scale * (grad_k.sum(axis=1, keepdims=True) * a - grad_k @ b)
-    grad_b += scale * (grad_k.sum(axis=0)[:, None] * b - grad_k.T @ a)
+    k_b = grad_k @ b
+    # a symmetric block (a is b) has grad_k.T @ a == grad_k @ b; its row and
+    # column sums still differ in the last bits, so both are kept
+    k_a = k_b if a is b else grad_k.T @ a
+    grad_a += scale * (grad_k.sum(axis=1, keepdims=True) * a - k_b)
+    grad_b += scale * (grad_k.sum(axis=0)[:, None] * b - k_a)
     return coeff * value / len(divisors)
 
 

@@ -279,7 +279,9 @@ def compute_losses(
     g = grad_q
     for layer in reversed(model.cfe):
         h, z = cfe.pop()
-        g = layer.backward(h, leaky_relu_backward(g, z, slope))
+        # the first layer's input is the data batch: no gradient wanted there
+        g = layer.backward(h, leaky_relu_backward(g, z, slope),
+                           input_grad=layer is not model.cfe[0])
     return breakdown
 
 

@@ -107,9 +107,10 @@ class LinearLayer:
     def forward(self, x) -> np.ndarray:
         return self._input(x) @ self.weight.value + self.bias.value
 
-    def backward(self, x, grad_out) -> np.ndarray:
+    def backward(self, x, grad_out, input_grad: bool = True) -> np.ndarray | None:
         """Accumulate the weight and bias gradients at forward input ``x``;
-        return the gradient with respect to ``x``."""
+        return the gradient with respect to ``x``, or None without
+        ``input_grad`` (a first layer, whose input is the data)."""
         x = self._input(x)
         grad_out = as_matrix(grad_out, "grad_out", require_finite=False)
         expected = (x.shape[0], self.weight.shape[1])
@@ -120,18 +121,22 @@ class LinearLayer:
             )
         self.weight.grad += x.T @ grad_out
         self.bias.grad += grad_out.sum(axis=0, keepdims=True)
-        return grad_out @ self.weight.value.T
+        return grad_out @ self.weight.value.T if input_grad else None
 
     def parameters(self) -> list[Parameter]:
         return [self.weight, self.bias]
 
 
 def leaky_relu(x, slope: float) -> np.ndarray:
-    """Elementwise x if x > 0 else slope * x."""
+    """Elementwise x if x > 0 else slope * x.
+
+    Computed as max(x, slope * x): for slope in (0, 1) that picks the same
+    value bit for bit, +-0.0, NaN and infinities included, with no mask.
+    """
     if not 0.0 < slope < 1.0:
         raise ValidationError(f"leaky slope must be in (0, 1), got {slope}")
     x = np.asarray(x, dtype=np.float64)
-    return np.where(x > 0.0, x, slope * x)
+    return np.maximum(x, slope * x)
 
 
 def leaky_relu_backward(grad_out, forward_input, slope: float) -> np.ndarray:

@@ -70,6 +70,25 @@ class TestExitCodes:
         assert f"{field} must be" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("seeds", ["-1", "0,-3"])
+    def test_negative_seed_is_validation_error(self, tmp_path, capsys, seeds):
+        out = tmp_path / "run"
+        assert main(["train", "--synth", synth_json(tmp_path), "--seeds", seeds,
+                     "--out", str(out)] + FAST) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: every seed must be a non-negative integer")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen-synth", "train"])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", True])
+    def test_bad_synth_rng_seed_is_validation_error(self, tmp_path, capsys, command, seed):
+        out = tmp_path / "out"
+        assert main([command, "--synth", synth_json(tmp_path, rng_seed=seed),
+                     "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: rng_seed must be a non-negative integer, got {seed!r}\n"
+        assert not out.exists()
+
     def test_repeated_seed_is_validation_error(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["train", "--synth", synth_json(tmp_path), "--seeds", "0,0",

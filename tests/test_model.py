@@ -209,6 +209,28 @@ class TestComputeLosses:
         for p, q in zip(model.parameters(), reference.parameters()):
             assert_allclose(p.grad, q.grad, rtol=1e-10, atol=1e-14)
 
+    def test_skipped_input_gradient_leaves_every_gradient_bit_identical(self, monkeypatch):
+        # the first extractor layer forms no input gradient; every parameter
+        # gradient must equal, byte for byte, a backward that forms it
+        rng = np.random.default_rng(17)
+        model = init_model(TOY)
+        reference = copy.deepcopy(model)
+        batches, target = toy_batches(rng, rows=20)
+        compute_losses(model, batches, target, alpha=0.7, beta=0.05)
+
+        backward, flags = LinearLayer.backward, []
+
+        def always_input_grad(layer, x, grad_out, input_grad=True):
+            if any(layer is c for c in reference.cfe):
+                flags.append(input_grad)
+            return backward(layer, x, grad_out)
+
+        monkeypatch.setattr(LinearLayer, "backward", always_input_grad)
+        compute_losses(reference, batches, target, alpha=0.7, beta=0.05)
+        assert flags == [True, True, False]  # cfe layers, last first
+        assert model.arena.grad.tobytes() == reference.arena.grad.tobytes()
+        assert np.any(model.arena.grad != 0.0)
+
     def test_identical_source_and_target_zero_mmd(self):
         rng = np.random.default_rng(1)
         model = init_model(TOY)

@@ -96,6 +96,17 @@ class TestLinearBackward:
         layer.backward(np.array([[2.0]]), np.array([[1.0]]))
         assert layer.weight.grad[0, 0] == 4.0
 
+    def test_without_input_grad_returns_none_and_same_param_grads(self):
+        rng = np.random.default_rng(5)
+        full = LinearLayer.init(7, 4, rng)
+        skip = LinearLayer(full.weight.value.copy(), full.bias.value.copy())
+        x, g = rng.normal(size=(11, 7)), rng.normal(size=(11, 4))
+        for _ in range(2):  # accumulation too
+            assert full.backward(x, g).shape == x.shape
+            assert skip.backward(x, g, input_grad=False) is None
+        assert skip.weight.grad.tobytes() == full.weight.grad.tobytes()
+        assert skip.bias.grad.tobytes() == full.bias.grad.tobytes()
+
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         layer = LinearLayer.init(4, 3, rng)
@@ -124,6 +135,22 @@ class TestLeakyRelu:
     def test_derivative_at_zero_uses_slope(self):
         grad = leaky_relu_backward(np.ones((1, 1)), np.zeros((1, 1)), 0.3)
         assert grad[0, 0] == 0.3
+
+    @pytest.mark.parametrize("slope", [5e-324, 1e-3, 0.01, 0.2, 0.5, 0.99, 1 - 2**-53])
+    def test_bytes_equal_the_where_form(self, slope):
+        # tobytes, not ==, so NaN payloads and the sign of zero count too
+        special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                   2.2250738585072014e-308, -1e-310, 1.0, -1.0, 1e308, -1e308]
+        rng = np.random.default_rng(6)
+        blocks = [
+            np.array([special]),
+            rng.normal(size=(64, 33)),
+            rng.integers(0, 2**64, (64, 33), dtype=np.uint64).view(np.float64),  # any bits
+        ]
+        with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+            for x in blocks:
+                expected = np.where(x > 0.0, x, slope * x)
+                assert leaky_relu(x, slope).tobytes() == expected.tobytes()
 
     def test_invalid_slope(self):
         for slope in (0.0, 1.0, -0.5, 2.0):
