@@ -13,6 +13,7 @@ import json
 import math
 import numbers
 import os
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,7 +23,6 @@ from .neuralcore import as_matrix
 
 NORMALIZATION_KINDS = ("none", "electrode_wise", "sample_wise", "global_wise")
 NORMALIZATION_ORDERS = ("A", "B")
-SCENARIOS = ("cross_session", "cross_subject", "synthetic")
 
 COMBINED_DOMAIN_ID = (-1, -1)
 
@@ -74,14 +74,11 @@ class TransferTask:
 
     sources: list[DomainDataset]
     target: DomainDataset
-    scenario: str
     fold_id: str
 
     def __post_init__(self):
         if not self.sources:
             raise ValidationError("a transfer task needs at least one source")
-        if self.scenario not in SCENARIOS:
-            raise ValidationError(f"unknown scenario {self.scenario!r}")
         dim = self.target.feature_dim
         classes = self.target.num_classes
         seen = set()
@@ -132,8 +129,9 @@ class SynthConfig:
     def __post_init__(self):
         check_seed("rng_seed", self.rng_seed)
         for name in ("num_domains", "samples_per_domain", "num_classes", "feature_dim"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be >= 1")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
         for name in ("class_separation", "domain_shift_scale", "noise_std"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be >= 0")
@@ -164,11 +162,9 @@ def normalize_matrix(x, kind: str) -> np.ndarray:
     raise ValidationError(f"unknown normalization kind {kind!r}")
 
 
-def normalize(data, spec: NormalizationSpec):
-    """Normalize a matrix or a DomainDataset according to ``spec.kind``."""
-    if isinstance(data, DomainDataset):
-        return replace(data, features=normalize_matrix(data.features, spec.kind))
-    return normalize_matrix(data, spec.kind)
+def normalize(data: DomainDataset, spec: NormalizationSpec) -> DomainDataset:
+    """A copy of ``data`` with its features normalized by ``spec.kind``."""
+    return replace(data, features=normalize_matrix(data.features, spec.kind))
 
 
 def merge_domains(domains: list[DomainDataset]) -> DomainDataset:
@@ -249,7 +245,6 @@ def make_folds(grid, scenario: str, loso: bool = False) -> list[TransferTask]:
             tasks.append(TransferTask(
                 sources=[grid[(k, j)] for k in sessions[:-1]],
                 target=grid[(sessions[-1], j)],
-                scenario="cross_session",
                 fold_id=f"cross_session-subject{j:02d}",
             ))
         return tasks
@@ -262,7 +257,6 @@ def make_folds(grid, scenario: str, loso: bool = False) -> list[TransferTask]:
                 tasks.append(TransferTask(
                     sources=[grid[(k, j)] for j in subjects if j != t],
                     target=grid[(k, t)],
-                    scenario="cross_subject",
                     fold_id=f"loso-session{k}-subject{t:02d}",
                 ))
         return tasks
@@ -270,7 +264,6 @@ def make_folds(grid, scenario: str, loso: bool = False) -> list[TransferTask]:
         tasks.append(TransferTask(
             sources=[grid[(k, j)] for j in subjects[:-1]],
             target=grid[(k, subjects[-1])],
-            scenario="cross_subject",
             fold_id=f"cross_subject-session{k}",
         ))
     return tasks
@@ -340,16 +333,11 @@ def generate_synthetic(config: SynthConfig) -> list[DomainDataset]:
     return domains
 
 
-def synthetic_task(domains: list[DomainDataset], fold_id: str = "synthetic") -> TransferTask:
+def synthetic_task(domains: list[DomainDataset]) -> TransferTask:
     """Treat the last generated domain as the target, the rest as sources."""
     if len(domains) < 2:
         raise ValidationError("a synthetic task needs at least two domains")
-    return TransferTask(
-        sources=domains[:-1],
-        target=domains[-1],
-        scenario="synthetic",
-        fold_id=fold_id,
-    )
+    return TransferTask(sources=domains[:-1], target=domains[-1], fold_id="synthetic")
 
 
 def iterations_per_epoch(task: TransferTask, batch_size: int) -> int:
@@ -416,12 +404,19 @@ def load_domain_csv(path, domain_id=(0, 0), num_classes: int | None = None) -> D
             raw = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    try:
-        lines = raw.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        # the sentinel lands on the line holding the first undecodable byte
-        lineno = len((raw[:exc.start].decode("utf-8") + "x").splitlines())
-        raise ParseError(path, lineno, f"byte 0x{raw[exc.start]:02x} is not UTF-8") from None
+    if not raw.isascii():
+        # float() and int() read non-ASCII digits and spaces; the contract is ASCII
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # the sentinel lands on the line holding the first undecodable byte
+            lineno = len((raw[:exc.start].decode("utf-8") + "x").splitlines())
+            raise ParseError(path, lineno, f"byte 0x{raw[exc.start]:02x} is not UTF-8") from None
+        bad = re.search(r"[^\x00-\x7f]", text).start()
+        lineno = len((text[:bad] + "x").splitlines())
+        raise ParseError(path, lineno, f"non-ASCII character {text[bad]!r}")
+    # one expression, so the decoded text is freed once it is split
+    lines = raw.decode("ascii").splitlines()
     if not lines:
         raise ParseError(path, 1, "empty file, expected a header line")
     header = lines[0].split(",")

@@ -193,24 +193,23 @@ def softmax_cross_entropy(logits, labels) -> tuple[float, np.ndarray]:
     return loss, grad
 
 
-def adam_step(
-    param: Parameter,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
+def adam_step(param: Parameter, lr: float) -> None:
     """One bias-corrected Adam update in place; zeroes the gradient after."""
     param.step_count += 1
     t = param.step_count
     g = param.grad
-    param.adam_m *= beta1
-    param.adam_m += (1.0 - beta1) * g
-    param.adam_v *= beta2
-    param.adam_v += (1.0 - beta2) * g * g
-    m_hat = param.adam_m / (1.0 - beta1**t)
-    v_hat = param.adam_v / (1.0 - beta2**t)
-    param.value -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    param.adam_m *= ADAM_BETA1
+    param.adam_m += (1.0 - ADAM_BETA1) * g
+    param.adam_v *= ADAM_BETA2
+    param.adam_v += (1.0 - ADAM_BETA2) * g * g
+    m_hat = param.adam_m / (1.0 - ADAM_BETA1**t)
+    v_hat = param.adam_v / (1.0 - ADAM_BETA2**t)
+    param.value -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     param.zero_grad()
 
 
@@ -250,15 +249,12 @@ def finite_difference_check(
     params,
     h: float = 1e-5,
     tolerance: float = 1e-4,
-    rng: np.random.Generator | None = None,
-    max_entries_per_param: int | None = None,
 ) -> GradCheckReport:
     """Compare analytic gradients against central finite differences.
 
     ``loss_fn`` must return the scalar loss and, as a side effect, accumulate
     analytic gradients into each parameter's ``grad`` buffer; it must be
-    deterministic. Every entry is checked unless ``max_entries_per_param``
-    caps it (then a seeded subsample via ``rng``).
+    deterministic. Every entry of every parameter is checked.
     """
     params = list(params)
     for p in params:
@@ -276,12 +272,7 @@ def finite_difference_check(
         flat = p.value.ravel()
         if flat.base is None and p.value.size > 1:
             raise StateError("parameter value is not a contiguous array")
-        indices = np.arange(flat.size)
-        if max_entries_per_param is not None and flat.size > max_entries_per_param:
-            if rng is None:
-                raise ValidationError("subsampled check requires an rng")
-            indices = rng.choice(flat.size, size=max_entries_per_param, replace=False)
-        for j in indices:
+        for j in range(flat.size):
             orig = flat[j]
             flat[j] = orig + h
             f_plus = loss_only()
@@ -291,7 +282,7 @@ def finite_difference_check(
             numeric = (f_plus - f_minus) / (2.0 * h)
             a = float(analytic[pi].ravel()[j])
             rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-3)
-            entries.append(GradCheckEntry(pi, int(j), a, float(numeric), float(rel)))
+            entries.append(GradCheckEntry(pi, j, a, float(numeric), float(rel)))
     for p in params:
         p.zero_grad()
 

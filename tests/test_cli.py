@@ -50,6 +50,20 @@ class TestExitCodes:
         assert code == 3
         assert f"{path}:2: byte 0xff is not UTF-8" in capsys.readouterr().err
 
+    def test_non_ascii_csv_is_data_error(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        assert main(["gen-synth", "--synth", synth_json(tmp_path, samples_per_domain=30),
+                     "--grid", "2x3", "--out", str(data_dir), "--quiet"]) == 0
+        path = data_dir / "session1" / "subject2.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[3] = "\uff13" + lines[3][1:]  # a fullwidth digit in row 3's first cell
+        path.write_text("".join(lines), encoding="utf-8")
+        code = main(["train", "--data", str(data_dir), "--scenario", "cross-session",
+                     "--seeds", "0", "--out", str(tmp_path / "run")] + FAST)
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"data error: {path}:4: non-ASCII character '\uff13'\n")
+
     def test_bad_flag_value(self, capsys):
         assert main(["train", "--norm", "bogus"]) == 1
 
@@ -87,6 +101,20 @@ class TestExitCodes:
                      "--out", str(out), "--quiet"]) == 1
         err = capsys.readouterr().err
         assert err == f"error: rng_seed must be a non-negative integer, got {seed!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen-synth", "train"])
+    @pytest.mark.parametrize("name, value", [
+        ("num_domains", 3.5), ("feature_dim", 8.5), ("samples_per_domain", 60.5),
+        ("num_classes", 2.5), ("num_classes", True), ("feature_dim", 0),
+    ])
+    def test_non_integer_synth_count_is_validation_error(self, tmp_path, capsys, command,
+                                                          name, value):
+        out = tmp_path / "out"
+        assert main([command, "--synth", synth_json(tmp_path, **{name: value}),
+                     "--out", str(out), "--quiet"] + (FAST if command == "train" else [])) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {name} must be an integer >= 1, got {value!r}\n"
         assert not out.exists()
 
     def test_repeated_seed_is_validation_error(self, tmp_path, capsys):

@@ -121,6 +121,21 @@ class TestDomainCsv:
         with pytest.raises(ParseError, match=":3:.*underscore"):
             load_domain_csv(path)
 
+    @pytest.mark.parametrize("cell", ["\u0661.\u0665", "\uff13", "1.0\u00a0"])
+    def test_non_ascii_feature_cell_names_line(self, tmp_path, cell):
+        # float() would read these as 1.5, 3.0 and 1.0
+        path = tmp_path / "bad.csv"
+        path.write_text(f"f0,f1,label\n1.0,2.0,0\n{cell},2.0,1\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=":3: non-ASCII character"):
+            load_domain_csv(path)
+
+    def test_non_ascii_label_names_line(self, tmp_path):
+        # int() would read the Arabic-Indic digit as label 1
+        path = tmp_path / "bad.csv"
+        path.write_text("f0,label\n1.0,0\n2.0,0\n3.0,\u0661\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=":4: non-ASCII character '\u0661'"):
+            load_domain_csv(path)
+
     def test_non_integer_label_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("f0,label\n1.0,0\n2.0,1.5\n")
@@ -323,7 +338,7 @@ class TestMakeFolds:
         with pytest.raises(ValidationError):
             rng = np.random.default_rng(12)
             d = small_domain(rng)
-            TransferTask(sources=[d], target=d, scenario="cross_session", fold_id="x")
+            TransferTask(sources=[d], target=d, fold_id="x")
 
 
 class TestDeGaussian:
@@ -428,8 +443,7 @@ class TestBatchSampler:
             small_domain(rng, rows=n, domain_id=(1, i + 1)) for i, n in enumerate(sizes)
         ]
         target = small_domain(rng, rows=target_size, domain_id=(2, 1))
-        return TransferTask(sources=sources, target=target,
-                            scenario="cross_session", fold_id="t")
+        return TransferTask(sources=sources, target=target, fold_id="t")
 
     def test_batch_shapes(self):
         task = self.make_task()

@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from conftest import per_seed_results
-from msmda import data
+from msmda import data, harness
 from msmda.data import (
     NormalizationSpec,
     SynthConfig,
@@ -18,6 +18,7 @@ from msmda.data import (
 )
 from msmda.errors import ValidationError
 from msmda.harness import (
+    METRICS_COLUMNS,
     ExperimentConfig,
     build_tasks,
     dump_features,
@@ -241,6 +242,39 @@ class TestPersistence:
         second = run_experiment(rebuilt)
         assert first["final_mean"] == second["final_mean"]
         assert first["per_seed"] == second["per_seed"]
+
+    def test_metrics_columns_head_the_csv_and_name_each_cell(self, tmp_path):
+        out = tmp_path / "run"
+        config = small_config(out_dir=str(out))
+        run_experiment(config)
+        with open(out / "metrics.csv", newline="") as fh:
+            assert next(csv.reader(fh)) == list(METRICS_COLUMNS)
+        for record, row in zip(first_fold(config)[0], metrics_rows(out), strict=True):
+            assert len(record.as_row()) == len(METRICS_COLUMNS)
+            assert row == dict(zip(METRICS_COLUMNS, record.as_row()))
+            assert int(row["epoch"]) == record.epoch and float(row["total"]) == record.total
+
+    def test_checkpoint_kept_when_a_later_fold_raises(self, tmp_path, monkeypatch):
+        full = tmp_path / "full"
+        run_experiment(small_config(seeds=(0, 1), out_dir=str(full)))
+        real_train_fold = harness.train_fold
+        calls = []
+
+        def second_fold_raises(task, config, seed, fold_index):
+            calls.append(seed)
+            if len(calls) == 2:
+                raise RuntimeError("crash in the second fold")
+            return real_train_fold(task, config, seed, fold_index)
+
+        monkeypatch.setattr(harness, "train_fold", second_fold_raises)
+        out = tmp_path / "crashed"
+        with pytest.raises(RuntimeError, match="second fold"):
+            run_experiment(small_config(seeds=(0, 1), out_dir=str(out)))
+        ckpt = out / "checkpoints" / "synthetic_seed0.ckpt"
+        assert list((out / "checkpoints").iterdir()) == [ckpt]
+        assert ckpt.read_bytes() == (full / "checkpoints" / ckpt.name).read_bytes()
+        load_checkpoint(ckpt)
+        assert not (out / "metrics.csv").exists()
 
     def test_metrics_csv_full_precision(self, tmp_path):
         out = tmp_path / "run"

@@ -294,24 +294,20 @@ class TestFiniteDifferenceCheck:
         assert not report.passed
         assert report.worst[0].rel_error > 0.1
 
-    def test_subsample_requires_rng(self):
-        p = Parameter(np.zeros((4, 4)))
-        with pytest.raises(ValidationError):
-            finite_difference_check(lambda: 0.0, [p], max_entries_per_param=2)
-
-    def test_subsampled_entries_counted(self):
+    def test_checks_every_entry_of_every_parameter(self):
         rng = np.random.default_rng(8)
-        p = Parameter(rng.uniform(-1, 1, (4, 4)))
+        layer = LinearLayer.init(4, 3, rng)
+        x = rng.uniform(-1, 1, (5, 4))
+        labels = rng.integers(0, 3, 5)
 
         def loss_fn():
-            p.grad += 2.0 * p.value
-            return float((p.value * p.value).sum())
+            loss, grad = softmax_cross_entropy(layer.forward(x), labels)
+            layer.backward(x, grad)
+            return loss
 
-        report = finite_difference_check(
-            loss_fn, [p], rng=np.random.default_rng(0), max_entries_per_param=5
-        )
-        assert report.num_checked == 5
-        assert report.passed
+        report = finite_difference_check(loss_fn, layer.parameters())
+        assert report.num_checked == sum(p.value.size for p in layer.parameters()) == 15
+        assert report.passed, report.describe()
 
 
 class TestParameter:

@@ -6,9 +6,11 @@ Every command runs in-process through ``msmda.cli.main``, imported from the
 ``src/`` next to this script, on small generated data: a 3x4 CSV grid from
 ``gen-synth`` and a 4-domain ``--synth`` config. The matrix covers gen-synth,
 train (cross-session, cross-subject, ``--loso``), baseline (order A and B),
-ablate, the synthetic train/baseline/ablate runs with each kernel, dump-features
-on a grid and a synthetic checkpoint, and one run that diverges. The stdout of
-every command is kept as ``stdout/<name>.txt`` with its exit code.
+ablate, the synthetic train/baseline/ablate runs with each kernel, synthetic
+train runs with ``--beta-absolute --disc-start 0.5``, ``--norm sample`` and
+``--norm global --order B``, dump-features on a grid and a synthetic
+checkpoint, one run that diverges, and ``verify all``. The stdout of every
+command is kept as ``stdout/<name>.txt`` with its exit code.
 
 The output is one ``sha256  relpath`` line per file, sorted by path. The work
 directory is replaced by ``<root>`` in ``config.json`` files and in captured
@@ -68,6 +70,12 @@ def commands(root: Path) -> list[tuple[str, list[str]]]:
          + out("synth-train-fixed")),
         ("synth-train-linear", ["train", "--kernel", "linear"] + synth_run
          + out("synth-train-linear")),
+        ("synth-train-beta-absolute", ["train", "--beta-absolute", "--disc-start", "0.5"]
+         + synth_run + out("synth-train-beta-absolute")),
+        ("synth-train-norm-sample", ["train", "--norm", "sample"] + synth_run
+         + out("synth-train-norm-sample")),
+        ("synth-train-norm-global-B", ["train", "--norm", "global", "--order", "B"]
+         + synth_run + out("synth-train-norm-global-B")),
         ("synth-baseline", ["baseline"] + synth_run + out("synth-baseline")),
         ("synth-ablate-mmd", ["ablate", "--ablate", "mmd"] + synth_run + out("synth-ablate-mmd")),
         ("synth-ablate-both", ["ablate", "--ablate", "both"] + synth_run
@@ -82,6 +90,7 @@ def commands(root: Path) -> list[tuple[str, list[str]]]:
                        "--out", str(root / "features/grid")] + NET),
         ("diverging", ["train", "--synth", synth, "--seeds", "0", "--lr", "1e154"]
          + NET + out("diverging")),
+        ("verify-all", ["verify", "all"]),
     ]
 
 
