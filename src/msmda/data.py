@@ -133,8 +133,10 @@ class SynthConfig:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
                 raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
         for name in ("class_separation", "domain_shift_scale", "noise_std"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value) or value < 0):
+                raise ValidationError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 def _zscore(x: np.ndarray, axis) -> np.ndarray:
@@ -393,6 +395,30 @@ class BatchSampler:
         return source_batches, self.task.target.features[target_idx]
 
 
+def _feature_block(rows: list[str], linenos: list[int], dim: int):
+    """The first ``dim`` cells of each row as a float64 matrix, plus the
+    (line, 0, message) problem of the first row that ``float`` rejects.
+
+    ``np.loadtxt`` converts the block in C and gives the values ``float``
+    gives. Where it refuses the block, each row is converted with ``float``
+    up to the first bad one.
+    """
+    if not rows:
+        return np.empty((0, dim)), None
+    try:
+        return np.loadtxt(rows, delimiter=",", usecols=range(dim), comments=None,
+                          dtype=np.float64, ndmin=2), None
+    except ValueError:
+        pass
+    block = np.empty((len(rows), dim))
+    for i, line in enumerate(rows):
+        try:
+            block[i] = [float(tok) for tok in line.split(",")[:dim]]
+        except ValueError:
+            return block[:i], (linenos[i], 0, f"non-numeric feature cell in {line!r}")
+    return block, None
+
+
 def load_domain_csv(path, domain_id=(0, 0), num_classes: int | None = None) -> DomainDataset:
     """Parse one domain CSV (header ``f0,...,f{d-1},label``).
 
@@ -415,8 +441,11 @@ def load_domain_csv(path, domain_id=(0, 0), num_classes: int | None = None) -> D
         bad = re.search(r"[^\x00-\x7f]", text).start()
         lineno = len((text[:bad] + "x").splitlines())
         raise ParseError(path, lineno, f"non-ASCII character {text[bad]!r}")
-    # one expression, so the decoded text is freed once it is split
-    lines = raw.decode("ascii").splitlines()
+    # the bytes, the text and its lines are each about the file's size: hold two at a time
+    text = raw.decode("ascii")
+    del raw
+    lines = text.splitlines()
+    del text
     if not lines:
         raise ParseError(path, 1, "empty file, expected a header line")
     header = lines[0].split(",")
@@ -427,32 +456,48 @@ def load_domain_csv(path, domain_id=(0, 0), num_classes: int | None = None) -> D
         if tok.strip() != f"f{i}":
             raise ParseError(path, 1, f"header column {i} is {tok!r}, expected 'f{i}'")
 
-    features = []
-    labels = []
+    # The per-line checks run here and stop at the first failing line; the
+    # cells of the lines before it, and of a line whose label fails, are
+    # converted in one block below. A problem is (line, rank, message): on
+    # one line a bad feature cell (rank 0) is reported before a bad label
+    # (1), and a bad label before a non-finite feature (2).
+    rows, linenos, labels = [], [], []
+    problem = None
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         if "_" in line:
-            raise ParseError(path, lineno, f"digit-group underscore in {line!r}")
-        parts = line.split(",")
-        if len(parts) != dim + 1:
-            raise ParseError(path, lineno, f"expected {dim + 1} fields, got {len(parts)}")
-        try:
-            row = [float(tok) for tok in parts[:-1]]
-        except ValueError:
-            raise ParseError(path, lineno, f"non-numeric feature cell in {line!r}") from None
-        tok = parts[-1].strip()
+            problem = (lineno, 0, f"digit-group underscore in {line!r}")
+            break
+        if line.count(",") != dim:
+            problem = (lineno, 0, f"expected {dim + 1} fields, got {line.count(',') + 1}")
+            break
+        cells, _, tok = line.rpartition(",")
+        if "\x1f" in cells:
+            # float() rejects the unit separator, np.loadtxt strips it as a space
+            problem = (lineno, 0, f"non-numeric feature cell in {line!r}")
+            break
+        rows.append(line)
+        linenos.append(lineno)
+        tok = tok.strip()
         try:
             label = int(tok)
         except ValueError:
-            raise ParseError(path, lineno, f"label {tok!r} is not a base-10 integer") from None
+            problem = (lineno, 1, f"label {tok!r} is not a base-10 integer")
+            break
         if label < 0:
-            raise ParseError(path, lineno, f"negative label {label}")
-        if not all(math.isfinite(v) for v in row):
-            raise ParseError(path, lineno, "non-finite feature value")
-        features.append(row)
+            problem = (lineno, 1, f"negative label {label}")
+            break
         labels.append(label)
-    if not features:
+    features, bad_cell = _feature_block(rows, linenos, dim)
+    nonfinite = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    problems = [p for p in (problem, bad_cell) if p]
+    if nonfinite.size:
+        problems.append((linenos[nonfinite[0]], 2, "non-finite feature value"))
+    if problems:
+        lineno, _, message = min(problems)
+        raise ParseError(path, lineno, message)
+    if not labels:
         raise ParseError(path, len(lines), "no data rows after the header")
 
     labels_arr = np.asarray(labels, dtype=np.int64)
@@ -461,10 +506,10 @@ def load_domain_csv(path, domain_id=(0, 0), num_classes: int | None = None) -> D
     else:
         bad = np.nonzero(labels_arr >= num_classes)[0]
         if bad.size:
-            raise ParseError(path, int(bad[0]) + 2,
+            raise ParseError(path, linenos[bad[0]],
                              f"label {labels_arr[bad[0]]} >= num_classes {num_classes}")
     return DomainDataset(
-        features=np.asarray(features, dtype=np.float64),
+        features=features,
         labels=labels_arr,
         num_classes=num_classes,
         domain_id=domain_id,

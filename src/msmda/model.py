@@ -98,8 +98,9 @@ class TrainConfig:
             raise ValidationError("batch_size must be >= 1")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValidationError(f"lr must be a positive finite number, got {self.lr}")
-        if not math.isfinite(self.beta_weight):
-            raise ValidationError(f"beta_weight must be finite, got {self.beta_weight}")
+        if not (math.isfinite(self.beta_weight) and self.beta_weight >= 0):
+            raise ValidationError(
+                f"beta_weight must be a finite number >= 0, got {self.beta_weight}")
         if not 0.0 <= self.disc_start_fraction <= 1.0:
             raise ValidationError("disc_start_fraction must be in [0, 1]")
         if self.iterations_per_epoch is not None and self.iterations_per_epoch < 1:

@@ -84,6 +84,16 @@ class TestExitCodes:
         assert f"{field} must be" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["-1", "-0.01"])
+    def test_negative_beta_is_validation_error(self, tmp_path, capsys, value):
+        # a negative weight would reward disagreement between the branches
+        out = tmp_path / "run"
+        assert main(["train", "--synth", synth_json(tmp_path), "--seeds", "0",
+                     "--beta", value, "--out", str(out)] + FAST) == 1
+        assert capsys.readouterr().err == (
+            f"error: beta_weight must be a finite number >= 0, got {float(value)}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("seeds", ["-1", "0,-3"])
     def test_negative_seed_is_validation_error(self, tmp_path, capsys, seeds):
         out = tmp_path / "run"
@@ -115,6 +125,20 @@ class TestExitCodes:
                      "--out", str(out), "--quiet"] + (FAST if command == "train" else [])) == 1
         err = capsys.readouterr().err
         assert err == f"error: {name} must be an integer >= 1, got {value!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen-synth", "train"])
+    @pytest.mark.parametrize("name, value", [
+        ("noise_std", True), ("class_separation", float("nan")),
+        ("domain_shift_scale", float("inf")), ("noise_std", "1.0"), ("noise_std", None),
+        ("class_separation", -0.5),
+    ])
+    def test_bad_synth_float_is_validation_error(self, tmp_path, capsys, command, name, value):
+        out = tmp_path / "out"
+        assert main([command, "--synth", synth_json(tmp_path, **{name: value}),
+                     "--out", str(out), "--quiet"] + (FAST if command == "train" else [])) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {name} must be a finite number >= 0, got {value!r}\n"
         assert not out.exists()
 
     def test_repeated_seed_is_validation_error(self, tmp_path, capsys):

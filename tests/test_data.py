@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -47,6 +48,141 @@ def synthetic_grid(rows=6, dim=4, sessions=3, subjects=15, num_classes=2, seed=0
         for k in range(1, sessions + 1)
         for j in range(1, subjects + 1)
     }
+
+
+# The per-cell parser (one float() per feature cell), kept verbatim as the
+# reference load_domain_csv must match, the way brute_force_mmd is the
+# reference for the MMD.
+def per_cell_load_domain_csv(path, domain_id=(0, 0), num_classes: int | None = None) -> DomainDataset:
+    """Parse one domain CSV (header ``f0,...,f{d-1},label``).
+
+    Malformed headers, rows, cells, or labels raise ParseError with the
+    offending line number. ``num_classes`` defaults to max(label) + 1.
+    """
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    if not raw.isascii():
+        # float() and int() read non-ASCII digits and spaces; the contract is ASCII
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # the sentinel lands on the line holding the first undecodable byte
+            lineno = len((raw[:exc.start].decode("utf-8") + "x").splitlines())
+            raise ParseError(path, lineno, f"byte 0x{raw[exc.start]:02x} is not UTF-8") from None
+        bad = re.search(r"[^\x00-\x7f]", text).start()
+        lineno = len((text[:bad] + "x").splitlines())
+        raise ParseError(path, lineno, f"non-ASCII character {text[bad]!r}")
+    # one expression, so the decoded text is freed once it is split
+    lines = raw.decode("ascii").splitlines()
+    if not lines:
+        raise ParseError(path, 1, "empty file, expected a header line")
+    header = lines[0].split(",")
+    if len(header) < 2 or header[-1].strip() != "label":
+        raise ParseError(path, 1, "header must be f0,...,f{d-1},label")
+    dim = len(header) - 1
+    for i, tok in enumerate(header[:-1]):
+        if tok.strip() != f"f{i}":
+            raise ParseError(path, 1, f"header column {i} is {tok!r}, expected 'f{i}'")
+
+    features = []
+    labels = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        if "_" in line:
+            raise ParseError(path, lineno, f"digit-group underscore in {line!r}")
+        parts = line.split(",")
+        if len(parts) != dim + 1:
+            raise ParseError(path, lineno, f"expected {dim + 1} fields, got {len(parts)}")
+        try:
+            row = [float(tok) for tok in parts[:-1]]
+        except ValueError:
+            raise ParseError(path, lineno, f"non-numeric feature cell in {line!r}") from None
+        tok = parts[-1].strip()
+        try:
+            label = int(tok)
+        except ValueError:
+            raise ParseError(path, lineno, f"label {tok!r} is not a base-10 integer") from None
+        if label < 0:
+            raise ParseError(path, lineno, f"negative label {label}")
+        if not all(math.isfinite(v) for v in row):
+            raise ParseError(path, lineno, "non-finite feature value")
+        features.append(row)
+        labels.append(label)
+    if not features:
+        raise ParseError(path, len(lines), "no data rows after the header")
+
+    labels_arr = np.asarray(labels, dtype=np.int64)
+    if num_classes is None:
+        num_classes = int(labels_arr.max()) + 1
+    else:
+        bad = np.nonzero(labels_arr >= num_classes)[0]
+        if bad.size:
+            raise ParseError(path, int(bad[0]) + 2,
+                             f"label {labels_arr[bad[0]]} >= num_classes {num_classes}")
+    return DomainDataset(
+        features=np.asarray(features, dtype=np.float64),
+        labels=labels_arr,
+        num_classes=num_classes,
+        domain_id=domain_id,
+    )
+
+
+# Cell forms float() reads, and forms it rejects or reads as non-finite.
+FEATURE_CELLS = ["1.5", "-2", "0", "0.1", " 1.5", "\t2", "3 ", "+1", "-0", "1E5", ".5", "5.",
+                 "2.5e-3", "0001"]
+ODD_FEATURE_CELLS = ["inf", "-Infinity", "nan", "1e400", "", " ", "x", "#", "1#2", "\"1\"",
+                     "'1'", "\x1f", "\x1f1", "1\x1f", " \x1f2", "1_0", "0x10", "1e", "--1"]
+LABEL_CELLS = ["0", "1", "2", " 1", "\t2 ", "+1", "-0", "01", "\x1f1"]
+ODD_LABEL_CELLS = ["-1", "1.5", "", "x", "#", "1_0", "\"1\"", "1e2", "\x1f"]
+LINE_BREAKS = ["\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c"]
+FILLER_LINES = ["", " ", "\t", " \t ", "\x1f"]
+SPLICED = ["\x1f", "_", "#", "\"", "'", ",", " ", "\t", "\n", "\r\n", "\x0b", "\x0c", "\x1c"]
+
+
+@st.composite
+def odd_csv_texts(draw):
+    """A small CSV text in the domain contract with odd cells, lines and breaks,
+    and up to two faults: an odd cell or label, a comma more or less, or a
+    spliced character."""
+    dim = draw(st.integers(1, 3))
+    rows = [[draw(st.sampled_from(FEATURE_CELLS)) for _ in range(dim)]
+            + [draw(st.sampled_from(LABEL_CELLS))] for _ in range(draw(st.integers(1, 4)))]
+    faults = draw(st.lists(st.sampled_from(["none", "cell", "label", "comma", "splice"]),
+                           min_size=1, max_size=2))
+    for fault in faults:
+        row = draw(st.sampled_from(rows))
+        if fault == "cell":
+            row[draw(st.integers(0, dim - 1))] = draw(st.sampled_from(ODD_FEATURE_CELLS))
+        elif fault == "label":
+            row[-1] = draw(st.sampled_from(ODD_LABEL_CELLS))
+        elif fault == "comma":
+            if draw(st.booleans()):
+                row.insert(draw(st.integers(0, dim)), draw(st.sampled_from(FEATURE_CELLS)))
+            else:
+                del row[draw(st.integers(0, dim))]
+    lines = [",".join([f"f{i}" for i in range(dim)] + ["label"])]
+    for cells in rows:
+        lines.extend(draw(st.lists(st.sampled_from(FILLER_LINES), max_size=1)))
+        lines.append(",".join(cells))
+    text = "".join(line + draw(st.sampled_from(LINE_BREAKS)) for line in lines)
+    if "splice" in faults:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(SPLICED)) + text[at:]
+    return text
+
+
+def parse_outcome(parse, path):
+    """What a parser makes of a file: its arrays, or its ParseError's line and message."""
+    try:
+        data = parse(path)
+    except ParseError as exc:
+        return ("error", exc.line, str(exc))
+    return ("ok", data.features.shape, data.features.tobytes(), data.labels.tolist(),
+            data.num_classes)
 
 
 class TestDomainCsv:
@@ -169,6 +305,82 @@ class TestDomainCsv:
         path.write_bytes(b"\xfff0,label\n1.0,0\n")
         with pytest.raises(ParseError, match=":1:"):
             load_domain_csv(path)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(text=odd_csv_texts())
+    def test_matches_per_cell_parser(self, tmp_path_factory, text):
+        # same arrays, or a ParseError on the same line with the same message
+        path = tmp_path_factory.getbasetemp() / "odd.csv"
+        path.write_bytes(text.encode("ascii"))
+        assert (parse_outcome(load_domain_csv, path)
+                == parse_outcome(per_cell_load_domain_csv, path))
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_feature_names_line(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"f0,f1,label\n1.0,2.0,0\n1.0,{cell},1\n")
+        with pytest.raises(ParseError, match=":3: non-finite feature value"):
+            load_domain_csv(path)
+
+    def test_negative_label_names_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("f0,label\n1.0,0\n2.0,-1\n")
+        with pytest.raises(ParseError, match=":3: negative label -1"):
+            load_domain_csv(path)
+
+    def test_blank_and_whitespace_lines_skipped(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text("f0,f1,label\n\n1.0,2.0,0\n \t \n\n3.0,4.0,1\n\t\n")
+        loaded = load_domain_csv(path)
+        assert_array_equal(loaded.features, [[1.0, 2.0], [3.0, 4.0]])
+        assert_array_equal(loaded.labels, [0, 1])
+
+    def test_crlf_file_matches_lf_file(self, tmp_path):
+        text = "f0,f1,label\n1.5,-0,0\n.5,1E5,2\n"
+        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        lf.write_bytes(text.encode("ascii"))
+        crlf.write_bytes(text.replace("\n", "\r\n").encode("ascii"))
+        a, b = load_domain_csv(lf), load_domain_csv(crlf)
+        assert a.features.tobytes() == b.features.tobytes()
+        assert_array_equal(a.labels, b.labels)
+        assert a.num_classes == b.num_classes == 3
+
+    @pytest.mark.parametrize("row, fields", [("1.0,2.0", 2), ("1.0,2.0,3.0,0", 4)])
+    def test_line_with_dim_or_dim_plus_two_fields_names_line(self, tmp_path, row, fields):
+        # np.loadtxt with usecols would read the short row's two cells as features
+        path = tmp_path / "bad.csv"
+        path.write_text(f"f0,f1,label\n1.0,2.0,0\n{row}\n")
+        with pytest.raises(ParseError, match=f":3: expected 3 fields, got {fields}"):
+            load_domain_csv(path)
+
+    @pytest.mark.parametrize("cell", ["#", "1#", "\"1\"", "\x1f1", "1\x1f"])
+    def test_comment_quote_and_unit_separator_cells_name_line(self, tmp_path, cell):
+        # np.loadtxt would drop text after '#' by default and strips '\x1f' as a space
+        path = tmp_path / "bad.csv"
+        path.write_text(f"f0,f1,label\n1.0,2.0,0\n2.0,{cell},1\n")
+        with pytest.raises(ParseError, match=":3: non-numeric feature cell"):
+            load_domain_csv(path)
+
+    @pytest.mark.parametrize("cell, message", [
+        ("oops", "non-numeric feature cell"), ("inf", "label 'x' is not a base-10 integer"),
+    ])
+    def test_bad_label_reported_after_bad_cell_before_non_finite(self, tmp_path, cell,
+                                                                 message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"f0,f1,label\n1.0,2.0,0\n1.0,{cell},x\n")
+        with pytest.raises(ParseError, match=f":3: {message}"):
+            load_domain_csv(path)
+
+    def test_unit_separator_around_label_is_stripped(self, tmp_path):
+        path = tmp_path / "sep.csv"
+        path.write_text("f0,label\n1.0,\x1f1\x1f\n")
+        assert_array_equal(load_domain_csv(path).labels, [1])
+
+    def test_label_over_declared_classes_names_its_line_after_blank_lines(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("f0,label\n\n1.0,0\n\n2.0,7\n")
+        with pytest.raises(ParseError, match=":5: label 7 >= num_classes 3"):
+            load_domain_csv(path, num_classes=3)
 
 
 class TestNormalize:

@@ -3,9 +3,11 @@
 Usage: python tools/output_digests.py [WORKDIR]
 
 Every command runs in-process through ``msmda.cli.main``, imported from the
-``src/`` next to this script, on small generated data: a 3x4 CSV grid from
-``gen-synth`` and a 4-domain ``--synth`` config. The matrix covers gen-synth,
-train (cross-session, cross-subject, ``--loso``), baseline (order A and B),
+``src/`` next to this script, on small data: a 3x4 CSV grid from
+``gen-synth``, a 4-domain ``--synth`` config, and a hand-written 2x2 CSV grid
+(``HAND_GRID``) in the unusual forms the CSV contract accepts. The matrix
+covers gen-synth, train (cross-session, cross-subject, ``--loso``, and
+cross-session on the hand-written grid), baseline (order A and B),
 ablate, the synthetic train/baseline/ablate runs with each kernel, synthetic
 train runs with ``--beta-absolute --disc-start 0.5``, ``--norm sample`` and
 ``--norm global --order B``, dump-features on a grid and a synthetic
@@ -39,10 +41,51 @@ GRID_SYNTH = dict(num_domains=12, samples_per_domain=60, num_classes=3, feature_
                   class_separation=3.0, domain_shift_scale=1.0, noise_std=1.0, rng_seed=0)
 RUN_SYNTH = dict(num_domains=4, samples_per_domain=90, num_classes=3, feature_dim=8,
                  class_separation=3.0, domain_shift_scale=1.0, noise_std=1.0, rng_seed=0)
+# A 2x2 grid in the unusual forms the CSV contract accepts: CRLF line ends,
+# blank and whitespace-only lines, space- and tab-padded cells and labels,
+# and the cell forms +1, -0, 1E5 and .5.
+HAND_GRID = {
+    (1, 1): ("f0,f1,f2,label\r\n"
+             "1.5,-0.25,+1,0\r\n"
+             "\r\n"
+             " .5,\t2E-1,-0,1\r\n"
+             "0.75 ,1E5,-1.5, 2\r\n"
+             "   \r\n"
+             "-.5,+0.125,3,\t0\r\n"
+             "2.25,-1,.5,1 \r\n"
+             "+2,0.5,-0.75,2\r\n"),
+    (1, 2): ("f0, f1,f2 ,label\n"
+             "\t-1.25,.5,1E5,0\n"
+             "\n"
+             "+1, -0,0.25,1\n"
+             "\t\n"
+             "3.5,\t+2,-.5, 2 \n"
+             "-0,1.75 ,+0.5,\t0\n"
+             ".25,-2,1E-2,1\n"
+             "1,2,3,2\n"),
+    (2, 1): ("f0,f1,f2,label\r\n"
+             " 2.5 ,-0,+.75,0\r\n"
+             "\t\r\n"
+             ".5,1E5,-1,\t1\r\n"
+             "-1.5,+3, .125, 2\r\n"
+             "\r\n"
+             "+0.25,\t-.5,2E0,0 \r\n"
+             "1.125,0.5,-2,1\r\n"
+             "-0,-1E1,.75,2\r\n"),
+    (2, 2): ("f0,f1,f2,label\n"
+             "1E5, +1,-0.5,0\n"
+             " \t \n"
+             "-.25,.5 ,\t1.5, 1\n"
+             "+2.75,-0,3,2\n"
+             "\n"
+             "0.5,\t-1.25,+.5,\t0\n"
+             "-3,2.5E-1,-0,1 \n"
+             ".75,+1,1E1,2\n"),
+}
 
 
 def commands(root: Path) -> list[tuple[str, list[str]]]:
-    grid, synth = str(root / "grid"), str(root / "synth.json")
+    grid, synth, hand = str(root / "grid"), str(root / "synth.json"), str(root / "hand_grid")
     data = ["--data", grid] + NET
     synth_run = ["--synth", synth, "--seeds", "0,1"] + NET
 
@@ -63,6 +106,8 @@ def commands(root: Path) -> list[tuple[str, list[str]]]:
         ("baseline-cross-subject-B", ["baseline", "--scenario", "cross-subject", "--order", "B",
                                       "--seeds", "0,1,2"] + data
          + out("baseline-cross-subject-B")),
+        ("train-hand-grid", ["train", "--scenario", "cross-session", "--seeds", "0,1",
+                             "--data", hand] + NET + out("train-hand-grid")),
         ("ablate-both-grid", ["ablate", "--ablate", "both", "--scenario", "cross-session",
                               "--seeds", "0"] + data + out("ablate-both-grid")),
         ("synth-train-multiscale", ["train"] + synth_run + out("synth-train-multiscale")),
@@ -99,6 +144,10 @@ def run_matrix(root: Path) -> None:
     (root / "grid_synth.json").write_text(json.dumps(GRID_SYNTH))
     (root / "synth.json").write_text(json.dumps(RUN_SYNTH))
     (root / "stdout").mkdir()
+    for (k, j), text in HAND_GRID.items():
+        path = root / "hand_grid" / f"session{k}" / f"subject{j}.csv"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(text.encode("ascii"))
     for name, argv in commands(root):
         captured = io.StringIO()
         with contextlib.redirect_stdout(captured):
