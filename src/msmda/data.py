@@ -516,6 +516,13 @@ def load_domain_csv(path, domain_id=(0, 0), num_classes: int | None = None) -> D
     )
 
 
+def write_json(path, obj) -> None:
+    """The one JSON form written to disk: sorted keys, 2-space indent, final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_domain_csv(dataset: DomainDataset, path) -> None:
     """Write a domain in the CSV contract with full float precision."""
     header = ",".join([f"f{i}" for i in range(dataset.feature_dim)] + ["label"])
@@ -553,24 +560,17 @@ def load_dataset_grid(root) -> dict[tuple[int, int], DomainDataset]:
                 raise DataError(f"malformed manifest {manifest_path}: cell {cell!r} "
                                 "is not a [session, subject] pair of integers")
     else:
+        # canonical ASCII names only: int() would also read "01", "+2", " 2" or "1_0"
         cells = []
         for entry in sorted(os.listdir(root)):
-            if not entry.startswith("session"):
-                continue
-            try:
-                k = int(entry[len("session"):])
-            except ValueError:
-                continue
+            session = re.fullmatch(r"session(0|[1-9][0-9]*)", entry)
             session_dir = os.path.join(root, entry)
-            if not os.path.isdir(session_dir):
+            if not session or not os.path.isdir(session_dir):
                 continue
             for fname in sorted(os.listdir(session_dir)):
-                if fname.startswith("subject") and fname.endswith(".csv"):
-                    try:
-                        j = int(fname[len("subject"):-len(".csv")])
-                    except ValueError:
-                        continue
-                    cells.append((k, j))
+                subject = re.fullmatch(r"subject(0|[1-9][0-9]*)\.csv", fname)
+                if subject:
+                    cells.append((int(session[1]), int(subject[1])))
         if not cells:
             raise DataError(f"no session<k>/subject<j>.csv files under {root!r}")
 
@@ -597,7 +597,5 @@ def save_dataset_grid(grid: dict[tuple[int, int], DomainDataset], root) -> None:
         session_dir = os.path.join(root, f"session{k}")
         os.makedirs(session_dir, exist_ok=True)
         write_domain_csv(dataset, os.path.join(session_dir, f"subject{j}.csv"))
-    with open(os.path.join(root, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump({"cells": [list(c) for c in cells], "num_classes": num_classes},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(root, "manifest.json"),
+               {"cells": [list(c) for c in cells], "num_classes": num_classes})

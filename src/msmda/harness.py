@@ -11,7 +11,6 @@ and shuffles for a given seed.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 import sys
@@ -34,6 +33,7 @@ from .data import (
     normalize,
     normalize_matrix,
     synthetic_task,
+    write_json,
 )
 from .errors import DataError, ValidationError
 from .losses import KernelSpec, alpha_schedule, discrepancy_loss, mmd_squared
@@ -311,34 +311,37 @@ def config_snapshot(config: ExperimentConfig) -> dict:
     }
 
 
-def _write_metrics_csv(path, records: list[MetricsRecord]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(METRICS_COLUMNS)
-        for record in records:
-            writer.writerow(record.as_row())
-
-
-def write_outputs(config: ExperimentConfig, records: list[MetricsRecord], summary: dict) -> None:
+def write_outputs(config: ExperimentConfig, records: list[MetricsRecord] | None = None,
+                  model: MsMdaModel | None = None) -> None:
+    """Persist a run's start (``config.json``, the ``metrics.csv`` header, no
+    stale ``summary.json``) or one finished fold: its rows, then its checkpoint,
+    written as ``.tmp`` and renamed so a checkpoint on disk is whole."""
     out = config.out_dir
-    os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "config.json"), "w", encoding="utf-8") as fh:
-        json.dump(config_snapshot(config), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_metrics_csv(os.path.join(out, "metrics.csv"), records)
-    with open(os.path.join(out, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    if model is None:
+        os.makedirs(os.path.join(out, "checkpoints"), exist_ok=True)
+        write_json(os.path.join(out, "config.json"), config_snapshot(config))
+        if os.path.exists(os.path.join(out, "summary.json")):
+            os.remove(os.path.join(out, "summary.json"))
+        with open(os.path.join(out, "metrics.csv"), "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerow(METRICS_COLUMNS)
+        return
+    with open(os.path.join(out, "metrics.csv"), "a", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(r.as_row() for r in records)
+    path = os.path.join(out, "checkpoints", f"{records[0].fold_id}_seed{records[0].seed}.ckpt")
+    save_checkpoint(model, path + ".tmp")
+    os.replace(path + ".tmp", path)
 
 
 def run_experiment(config: ExperimentConfig, log=None) -> dict:
     """Full sweep over seeds and folds; returns the summary ``summary.json`` holds."""
     records: list[MetricsRecord] = []
-    tasks = None
+    tasks = build_tasks(config, config.seeds[0])
+    if config.out_dir:
+        write_outputs(config)
     for seed in config.seeds:
         # File folds do not depend on the seed, so the grid is parsed once per
         # run; sharing is safe as prepare_task copies and sampling only indexes.
-        if tasks is None or config.data_root is None:
+        if seed != config.seeds[0] and config.data_root is None:
             tasks = build_tasks(config, seed)
         for fold_index, task in enumerate(tasks):
             try:
@@ -349,17 +352,14 @@ def run_experiment(config: ExperimentConfig, log=None) -> dict:
                 raise ValidationError(f"fold {task.fold_id} (seed {seed}): {exc}") from exc
             records.extend(fold_records)
             if config.out_dir:
-                # written as the fold ends, so a later crash keeps it
-                ckpt_dir = os.path.join(config.out_dir, "checkpoints")
-                os.makedirs(ckpt_dir, exist_ok=True)
-                save_checkpoint(model, os.path.join(ckpt_dir, f"{task.fold_id}_seed{seed}.ckpt"))
+                write_outputs(config, fold_records, model)
             if log:
                 status, final, best = _fold_outcome(fold_records)
                 log(f"seed {seed} fold {task.fold_id}: "
                     f"final={final:.4f} best={best:.4f} ({status})")
     summary = summarize(records, config)
     if config.out_dir:
-        write_outputs(config, records, summary)
+        write_json(os.path.join(config.out_dir, "summary.json"), summary)
     return summary
 
 

@@ -184,10 +184,11 @@ def softmax_cross_entropy(logits, labels) -> tuple[float, np.ndarray]:
             f"label {labels[row]} out of range [0, {num_classes}) at row {row}"
         )
     shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
+    e = np.exp(shifted)
+    z = e.sum(axis=1, keepdims=True)
     rows = np.arange(logits.shape[0])
-    loss = float(np.mean(log_z - shifted[rows, labels]))
-    grad = softmax(logits)
+    loss = float(np.mean(np.log(z[:, 0]) - shifted[rows, labels]))
+    grad = e / z
     grad[rows, labels] -= 1.0
     grad /= logits.shape[0]
     return loss, grad

@@ -200,6 +200,46 @@ class TestGenSynth:
         assert main(["gen-synth", "--grid", "banana", "--out", str(tmp_path / "x")]) == 1
 
 
+class TestGridScan:
+    """Without a manifest, only canonical session<k>/subject<j>.csv names are cells."""
+
+    def grid_without_manifest(self, tmp_path):
+        data_dir = tmp_path / "data"
+        assert main(["gen-synth", "--synth", synth_json(tmp_path, samples_per_domain=30),
+                     "--grid", "2x2", "--out", str(data_dir), "--quiet"]) == 0
+        (data_dir / "manifest.json").unlink()
+        return data_dir
+
+    def train(self, data_dir, out):
+        return main(["train", "--data", str(data_dir), "--scenario", "cross-session",
+                     "--seeds", "0", "--out", str(out)] + FAST)
+
+    @pytest.mark.parametrize("stray", [
+        "session1/subject1_0.csv", "session1/subject\u0663.csv", "session1/subject01.csv",
+        "session2/subject+2.csv", "session2/subject 2.csv", "session2/subject2.csv.bak",
+        "session01/subject1.csv", "session\u0662/subject1.csv", "session+1/subject3.csv",
+    ])
+    def test_stray_name_is_not_a_cell(self, tmp_path, stray):
+        data_dir = self.grid_without_manifest(tmp_path)
+        assert self.train(data_dir, tmp_path / "alone") == 0
+        path = data_dir / stray
+        path.parent.mkdir(exist_ok=True)
+        path.write_bytes((data_dir / "session1" / "subject1.csv").read_bytes())
+        assert self.train(data_dir, tmp_path / "with-stray") == 0
+        assert (tmp_path / "with-stray" / "metrics.csv").read_bytes() == \
+            (tmp_path / "alone" / "metrics.csv").read_bytes()
+
+    def test_padded_names_only_is_data_error(self, tmp_path, capsys):
+        data_dir = self.grid_without_manifest(tmp_path)
+        for path in sorted(data_dir.glob("session*/subject*.csv")):
+            path.rename(path.with_name(f"subject0{path.name[len('subject'):]}"))
+        out = tmp_path / "run"
+        assert self.train(data_dir, out) == 3
+        assert capsys.readouterr().err == (
+            f"data error: no session<k>/subject<j>.csv files under {str(data_dir)!r}\n")
+        assert not out.exists()
+
+
 class TestDumpFeaturesCommand:
     def test_dump_after_train(self, tmp_path):
         synth = synth_json(tmp_path)

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -274,7 +275,7 @@ class TestPersistence:
         assert list((out / "checkpoints").iterdir()) == [ckpt]
         assert ckpt.read_bytes() == (full / "checkpoints" / ckpt.name).read_bytes()
         load_checkpoint(ckpt)
-        assert not (out / "metrics.csv").exists()
+        assert metrics_rows(out) == [r for r in metrics_rows(full) if r["seed"] == "0"]
 
     def test_metrics_csv_full_precision(self, tmp_path):
         out = tmp_path / "run"
@@ -298,14 +299,20 @@ class TestFileData:
             seeds=seeds, out_dir=str(out),
         )
 
-    def test_grid_parsed_once_and_seeds_share_nothing(self, tmp_path, monkeypatch):
+    cells = [(k, j) for k in (1, 2) for j in (1, 2, 3)]
+
+    def save_grid(self, root):
+        """A 2-session x 3-subject grid: three cross-session folds per seed."""
         domains = generate_synthetic(SynthConfig(
             num_domains=6, samples_per_domain=40, num_classes=3, feature_dim=8,
             class_separation=3.0, domain_shift_scale=0.8, noise_std=1.0, rng_seed=0))
-        cells = [(k, j) for k in (1, 2) for j in (1, 2, 3)]
-        root = tmp_path / "data"
         save_dataset_grid(
-            {cell: replace(d, domain_id=cell) for cell, d in zip(cells, domains)}, root)
+            {cell: replace(d, domain_id=cell) for cell, d in zip(self.cells, domains)}, root)
+
+    def test_grid_parsed_once_and_seeds_share_nothing(self, tmp_path, monkeypatch):
+        cells = self.cells
+        root = tmp_path / "data"
+        self.save_grid(root)
 
         parsed = []
         real_load = data.load_domain_csv
@@ -331,6 +338,42 @@ class TestFileData:
             assert len(alone) == 1 + 3 * 3  # three folds of three epochs
         # nothing outlives a run: every run reads the files again
         assert len(parsed) == 4 * len(cells)
+
+    @pytest.mark.parametrize("stale", [False, True], ids=["empty-out", "finished-run-in-out"])
+    @pytest.mark.parametrize("k", [1, 4])  # fold 5 is the second seed's second fold
+    def test_crash_after_fold_k_keeps_k_whole_folds(self, tmp_path, monkeypatch, k, stale):
+        root = tmp_path / "data"
+        self.save_grid(root)
+        full = tmp_path / "full"
+        run_experiment(self.file_config(root, (0, 1), full))
+        out = tmp_path / "crashed"
+        if stale:
+            shutil.copytree(full, out)
+        real_train_fold = harness.train_fold
+        calls = []
+
+        def later_fold_raises(*args):
+            calls.append(args)
+            if len(calls) == k + 1:
+                raise RuntimeError(f"crash in fold {k + 1}")
+            return real_train_fold(*args)
+
+        monkeypatch.setattr(harness, "train_fold", later_fold_raises)
+        with pytest.raises(RuntimeError, match=f"crash in fold {k + 1}"):
+            run_experiment(self.file_config(root, (0, 1), out))
+
+        assert (out / "config.json").read_bytes() == (full / "config.json").read_bytes()
+        lines = (full / "metrics.csv").read_bytes().splitlines(keepends=True)
+        assert (out / "metrics.csv").read_bytes() == b"".join(lines[:1 + 3 * k])  # 3 epochs
+        folds = list(dict.fromkeys((r["fold_id"], r["seed"]) for r in metrics_rows(full)))
+        kept = sorted(f"{fold_id}_seed{seed}.ckpt" for fold_id, seed in folds[:k])
+        if not stale:
+            assert sorted(p.name for p in (out / "checkpoints").iterdir()) == kept
+        for name in kept:
+            assert (out / "checkpoints" / name).read_bytes() == \
+                (full / "checkpoints" / name).read_bytes()
+        assert not list(out.rglob("*.tmp"))
+        assert not (out / "summary.json").exists()
 
 
 class TestDumpFeatures:

@@ -172,7 +172,34 @@ class TestLeakyRelu:
         assert report.passed, report.describe()
 
 
+def two_pass_softmax_cross_entropy(logits, labels):
+    """Reference: the loss and the gradient each take their own softmax pass."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=1))
+    rows = np.arange(logits.shape[0])
+    loss = float(np.mean(log_z - shifted[rows, labels]))
+    grad = softmax(logits)
+    grad[rows, labels] -= 1.0
+    grad /= logits.shape[0]
+    return loss, grad
+
+
 class TestSoftmaxCrossEntropy:
+    def test_bytes_match_two_pass_form(self):
+        rng = np.random.default_rng(12)
+        specials = np.array([np.inf, -np.inf, np.nan, 1e308, -1e308, 0.0])
+        for _ in range(3000):
+            rows, cols = (int(v) for v in rng.integers(1, 6, 2))
+            logits = rng.normal(0.0, 10.0 ** rng.uniform(-2, 3), (rows, cols))
+            mask = rng.random((rows, cols)) < 0.15
+            logits[mask] = rng.choice(specials, int(mask.sum()))
+            labels = rng.integers(0, cols, rows)
+            with np.errstate(all="ignore"):
+                loss, grad = softmax_cross_entropy(logits, labels)
+                ref_loss, ref_grad = two_pass_softmax_cross_entropy(logits, labels)
+            assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+            assert grad.tobytes() == ref_grad.tobytes()
+
     def test_uniform_logits_give_log_num_classes(self):
         loss, _ = softmax_cross_entropy(np.zeros((4, 3)), np.array([0, 1, 2, 0]))
         assert loss == pytest.approx(math.log(3.0), rel=1e-12)

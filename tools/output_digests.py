@@ -16,21 +16,30 @@ command is kept as ``stdout/<name>.txt`` with its exit code.
 
 The output is one ``sha256  relpath`` line per file, sorted by path. The work
 directory is replaced by ``<root>`` in ``config.json`` files and in captured
-stdout, so the listings of two checkouts can be compared with ``diff``. No
-expected digests are kept with this script: the bytes depend on the BLAS build.
-The files go to WORKDIR/matrix (WORKDIR defaults to a fresh temporary
-directory), which must not exist yet.
+stdout, so the listings of two checkouts can be compared with ``diff``. The
+files go to WORKDIR/matrix (WORKDIR defaults to a fresh temporary directory),
+which must not exist yet.
+
+The bytes depend on the BLAS build, so the expected listing is kept per build
+as ``tests/golden/<build_key()>.txt``, and ``tests/test_output_digests.py``
+diffs the matrix against it; its skip or failure message names the key of
+this build. Write a new listing to that file only with a change that alters
+output bytes on purpose, never to make the test pass.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -164,6 +173,33 @@ def digests(root: Path) -> list[str]:
             data = data.replace(str(root).encode(), b"<root>")
         lines.append(f"{hashlib.sha256(data).hexdigest()}  {path.relative_to(root)}")
     return lines
+
+
+def blas_core() -> str:
+    """The OpenBLAS kernel set picked at run time, else the CPU model.
+
+    The build target in ``np.show_config`` names only the kernels the library
+    was compiled for; with DYNAMIC_ARCH the core in use can differ.
+    """
+    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            model = next(line.split(":", 1)[1] for line in fh if line.startswith("model name"))
+    except (OSError, StopIteration):
+        return "unknown-cpu"
+    return re.sub(r"[^A-Za-z0-9.]+", "-", model.strip())
+
+
+def build_key() -> str:
+    """numpy version, OpenBLAS version and core: what the output bytes depend on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"numpy-{np.__version__}_openblas-{blas.get('version', 'unknown')}_{blas_core()}"
 
 
 def run(argv: list[str]) -> int:
