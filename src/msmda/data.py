@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 import numbers
 import os
 import re
+import signal
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -532,11 +534,68 @@ def write_domain_csv(dataset: DomainDataset, path) -> None:
             fh.write(",".join(repr(float(v)) for v in row) + f",{int(label)}\n")
 
 
+def _load_cell(path, cell, num_classes) -> DomainDataset:
+    k, j = cell
+    if not os.path.exists(path):
+        raise DataError(f"manifest cell (session {k}, subject {j}) has no file {path}")
+    return load_domain_csv(path, domain_id=(k, j), num_classes=num_classes)
+
+
+def _parse_stripe(conn, jobs) -> None:
+    """Worker: send each job's DomainDataset down ``conn``, or the first
+    exception and stop."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops its workers
+    for job in jobs:
+        try:
+            result = _load_cell(*job)
+        except Exception as exc:
+            conn.send(exc)
+            return
+        conn.send(result)
+
+
+def _load_cells_forked(jobs, workers: int) -> list[DomainDataset]:
+    """``_load_cell`` of each job, worker ``w`` taking jobs ``w, w + workers, ...``.
+    Results are read in job order, so the first failure in that order is raised."""
+    # fork, not spawn: a spawned worker re-imports numpy (about 0.5 s), and
+    # the workers make no BLAS call that a thread of this process could hold
+    context = multiprocessing.get_context("fork")
+    procs, conns = [], []
+    try:
+        for w in range(workers):
+            reader, writer = context.Pipe(duplex=False)
+            proc = context.Process(target=_parse_stripe, args=(writer, jobs[w::workers]))
+            proc.start()
+            procs.append(proc)
+            conns.append(reader)
+            writer.close()  # the worker's copy is then the only one: its exit reads as EOF
+        domains = []
+        for i, (path, _, _) in enumerate(jobs):
+            try:
+                result = conns[i % workers].recv()
+            except EOFError:
+                procs[i % workers].join()
+                raise DataError(f"cannot parse {path}: its worker exited with code "
+                                f"{procs[i % workers].exitcode}") from None
+            if isinstance(result, BaseException):
+                raise result
+            domains.append(result)
+        return domains
+    finally:
+        for proc in procs:
+            proc.terminate()
+            proc.join()
+        for conn in conns:
+            conn.close()
+
+
 def load_dataset_grid(root) -> dict[tuple[int, int], DomainDataset]:
     """Load ``<root>/session<k>/subject<j>.csv`` into a grid.
 
     A ``manifest.json`` with {"cells": [[k, j], ...], "num_classes": C}
     declares the present cells; otherwise the directory tree is scanned.
+    The files are parsed in one forked process per usable CPU, at most one
+    per file, or in this process when that is one.
     """
     root = os.fspath(root)
     if not os.path.isdir(root):
@@ -574,12 +633,14 @@ def load_dataset_grid(root) -> dict[tuple[int, int], DomainDataset]:
         if not cells:
             raise DataError(f"no session<k>/subject<j>.csv files under {root!r}")
 
-    grid = {}
-    for k, j in cells:
-        path = os.path.join(root, f"session{k}", f"subject{j}.csv")
-        if not os.path.exists(path):
-            raise DataError(f"manifest cell (session {k}, subject {j}) has no file {path}")
-        grid[(k, j)] = load_domain_csv(path, domain_id=(k, j), num_classes=num_classes)
+    jobs = [(os.path.join(root, f"session{k}", f"subject{j}.csv"), (k, j), num_classes)
+            for k, j in cells]
+    workers = min(len(jobs), len(os.sched_getaffinity(0)))
+    if workers <= 1:
+        domains = [_load_cell(*job) for job in jobs]
+    else:
+        domains = _load_cells_forked(jobs, workers)
+    grid = {d.domain_id: d for d in domains}
     if num_classes is None:
         # harmonize the inferred class count across domains
         classes = max(d.num_classes for d in grid.values())

@@ -24,3 +24,8 @@ class ParseError(DataError, ValidationError):
         super().__init__(f"{path}:{line}: {message}")
         self.path = str(path)
         self.line = line
+        self.message = message
+
+    def __reduce__(self):
+        # args holds only the formatted text; rebuild from the three fields
+        return type(self), (self.path, self.line, self.message)

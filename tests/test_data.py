@@ -1,6 +1,11 @@
 import json
 import math
+import multiprocessing
+import os
+import pickle
 import re
+import signal
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from msmda import data
+from msmda.cli import main
 from msmda.data import (
     BatchSampler,
     DomainDataset,
@@ -777,6 +784,155 @@ class TestDatasetGrid:
             json.dumps({"cells": [[1, 1], [1, 2]], "num_classes": num_classes}))
         with pytest.raises(DataError, match="malformed manifest .*num_classes"):
             load_dataset_grid(root)
+
+
+def usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def load_outcome(root):
+    """A grid load's domains, or its error's type, text and location."""
+    try:
+        grid = load_dataset_grid(root)
+    except Exception as exc:
+        return ("error", type(exc), str(exc), getattr(exc, "path", None),
+                getattr(exc, "line", None))
+    return [(key, d.domain_id, d.num_classes, d.features.shape, d.features.tobytes(),
+             d.labels.tobytes(), d.features.flags.writeable, d.features.flags.c_contiguous,
+             d.labels.flags.writeable, d.labels.flags.c_contiguous)
+            for key, d in grid.items()]
+
+
+class TestForkedGridParse:
+    """With more than one usable CPU the grid's files are parsed in forked workers."""
+
+    def save_grid(self, root, manifest=True):
+        """A 3-session x 4-subject grid; its cells in manifest order."""
+        grid = synthetic_grid(rows=9, dim=5, sessions=3, subjects=4, num_classes=3)
+        save_dataset_grid(grid, root)
+        if not manifest:
+            (root / "manifest.json").unlink()
+        return sorted(grid)
+
+    def cell_path(self, root, cell):
+        return root / f"session{cell[0]}" / f"subject{cell[1]}.csv"
+
+    def test_parse_error_survives_pickling(self, tmp_path):
+        for path in ("a.csv", tmp_path / "a.csv"):
+            exc = pickle.loads(pickle.dumps(ParseError(path, 3, "bad")))
+            assert type(exc) is ParseError
+            assert str(exc) == f"{path}:3: bad"
+            assert exc.path == str(path)
+            assert exc.line == 3
+
+    @pytest.mark.parametrize("manifest", [True, False], ids=["manifest", "scan"])
+    def test_pool_matches_in_process_byte_for_byte(self, tmp_path, monkeypatch, manifest):
+        root = tmp_path / "data"
+        self.save_grid(root, manifest)
+        usable_cpus(monkeypatch, 1)
+        alone = load_outcome(root)
+        usable_cpus(monkeypatch, 2)
+        pooled = load_outcome(root)
+        assert len(pooled) == 12
+        assert pooled == alone
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus, expected", [(1, 1), (2, 2), (3, 3), (64, 12)])
+    def test_one_worker_per_usable_cpu_and_file(self, tmp_path, monkeypatch, cpus, expected):
+        root = tmp_path / "data"
+        self.save_grid(root)
+        log = tmp_path / "pids.txt"
+        real_load = data.load_domain_csv
+
+        def recording_load(path, *args, **kwargs):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real_load(path, *args, **kwargs)
+
+        monkeypatch.setattr(data, "load_domain_csv", recording_load)
+        usable_cpus(monkeypatch, cpus)
+        load_dataset_grid(root)
+        pids = log.read_text(encoding="utf-8").split()
+        assert len(pids) == 12
+        assert len(set(pids)) == expected
+        assert (str(os.getpid()) in pids) == (expected == 1)
+        assert multiprocessing.active_children() == []
+
+    # (cell index, fault): two workers stripe cells 0,2,4,... and 1,3,5,...
+    @pytest.mark.parametrize("faults", [
+        ((2, "bad"), (5, "missing")),
+        ((3, "missing"), (4, "bad")),
+        ((4, "bad"), (7, "bad")),
+        ((1, "bad"), (2, "missing")),
+        ((11, "missing"),),
+    ])
+    def test_first_bad_cell_wins_as_in_process(self, tmp_path, monkeypatch, faults):
+        root = tmp_path / "data"
+        cells = self.save_grid(root)
+        for index, fault in faults:
+            path = self.cell_path(root, cells[index])
+            if fault == "missing":
+                path.unlink()
+            else:
+                lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+                lines[3] = "1,2,3\n"
+                path.write_text("".join(lines), encoding="utf-8")
+        usable_cpus(monkeypatch, 1)
+        alone = load_outcome(root)
+        usable_cpus(monkeypatch, 2)
+        pooled = load_outcome(root)
+        assert multiprocessing.active_children() == []
+        assert pooled == alone
+        first = self.cell_path(root, cells[faults[0][0]])
+        assert str(first) in pooled[2]
+        assert pooled[1] is (ParseError if faults[0][1] == "bad" else DataError)
+
+    def test_worker_death_is_a_data_error(self, tmp_path, monkeypatch, capfd):
+        root = tmp_path / "data"
+        cells = self.save_grid(root)
+        dead = self.cell_path(root, cells[5])
+        real_load = data.load_domain_csv
+        test_pid = os.getpid()
+
+        def dying_load(path, *args, **kwargs):
+            if path == str(dead) and os.getpid() != test_pid:
+                os._exit(1)
+            return real_load(path, *args, **kwargs)
+
+        monkeypatch.setattr(data, "load_domain_csv", dying_load)
+        usable_cpus(monkeypatch, 2)
+        with pytest.raises(DataError, match=f"cannot parse {re.escape(str(dead))}: "
+                                            "its worker exited with code 1"):
+            load_dataset_grid(root)
+        assert multiprocessing.active_children() == []
+        capfd.readouterr()
+        code = main(["train", "--data", str(root), "--scenario", "cross-session",
+                     "--seeds", "0", "--out", str(tmp_path / "run"), "--quiet"])
+        assert code == 3
+        out, err = capfd.readouterr()
+        assert err == f"data error: cannot parse {dead}: its worker exited with code 1\n"
+        assert multiprocessing.active_children() == []
+
+    def test_interrupt_stops_every_worker(self, tmp_path, monkeypatch):
+        root = tmp_path / "data"
+        cells = self.save_grid(root)
+        last = str(self.cell_path(root, cells[-1]))
+        real_load = data.load_domain_csv
+        test_pid = os.getpid()
+
+        def interrupting_load(path, *args, **kwargs):
+            if path == last and os.getpid() != test_pid:
+                os.kill(test_pid, signal.SIGINT)  # as Ctrl-C would, while the test waits
+                time.sleep(60)
+            return real_load(path, *args, **kwargs)
+
+        monkeypatch.setattr(data, "load_domain_csv", interrupting_load)
+        usable_cpus(monkeypatch, 2)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            load_dataset_grid(root)
+        assert multiprocessing.active_children() == []
+        assert time.monotonic() - start < 30
 
 
 class TestMergeAndTask:

@@ -314,16 +314,21 @@ class TestFileData:
         root = tmp_path / "data"
         self.save_grid(root)
 
-        parsed = []
+        # the grid may be parsed in forked workers: they record to a file, not a list
+        log = tmp_path / "parsed.txt"
         real_load = data.load_domain_csv
 
         def counting_load(path, *args, **kwargs):
-            parsed.append(os.path.relpath(path, root))
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(os.path.relpath(path, root) + "\n")
             return real_load(path, *args, **kwargs)
+
+        def parsed():
+            return log.read_text(encoding="utf-8").splitlines()
 
         monkeypatch.setattr(data, "load_domain_csv", counting_load)
         run_experiment(self.file_config(root, (0, 1, 2), tmp_path / "all"))
-        assert sorted(parsed) == sorted(
+        assert sorted(parsed()) == sorted(
             os.path.join(f"session{k}", f"subject{j}.csv") for k, j in cells)
 
         # each seed's metrics rows equal, byte for byte, a run of that seed alone
@@ -337,7 +342,7 @@ class TestFileData:
                                  if row.split(b",")[1] == str(seed).encode()]
             assert len(alone) == 1 + 3 * 3  # three folds of three epochs
         # nothing outlives a run: every run reads the files again
-        assert len(parsed) == 4 * len(cells)
+        assert len(parsed()) == 4 * len(cells)
 
     @pytest.mark.parametrize("stale", [False, True], ids=["empty-out", "finished-run-in-out"])
     @pytest.mark.parametrize("k", [1, 4])  # fold 5 is the second seed's second fold
