@@ -2,7 +2,7 @@
 
 Subcommands: train, baseline, ablate, gen-synth, dump-features, verify.
 Exit codes: 0 success, 1 validation error, 2 verification failure,
-3 data error.
+3 data error (including an output that cannot be written).
 """
 
 from __future__ import annotations
@@ -244,7 +244,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except DataError as exc:
+    except (DataError, OSError) as exc:  # an OSError here is from writing outputs
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except ValidationError as exc:

@@ -397,35 +397,50 @@ class BatchSampler:
         return source_batches, self.task.target.features[target_idx]
 
 
-def _feature_block(rows: list[str], linenos: list[int], dim: int):
-    """The first ``dim`` cells of each row as a float64 matrix, plus the
-    (line, 0, message) problem of the first row that ``float`` rejects.
-
-    ``np.loadtxt`` converts the block in C and gives the values ``float``
-    gives. Where it refuses the block, each row is converted with ``float``
-    up to the first bad one.
-    """
-    if not rows:
-        return np.empty((0, dim)), None
-    try:
-        return np.loadtxt(rows, delimiter=",", usecols=range(dim), comments=None,
-                          dtype=np.float64, ndmin=2), None
-    except ValueError:
-        pass
-    block = np.empty((len(rows), dim))
-    for i, line in enumerate(rows):
+def _parse_rows(path, lines: list[str], dim: int, num_classes: int | None):
+    """Features and labels of the data lines, read one line at a time. The
+    first line that breaks a rule raises ParseError naming it; the rules run
+    in the order of a per-cell parser, and ``label >= num_classes`` after them."""
+    features, labels, linenos = [], [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        if "_" in line:
+            raise ParseError(path, lineno, f"digit-group underscore in {line!r}")
+        parts = line.split(",")
+        if len(parts) != dim + 1:
+            raise ParseError(path, lineno, f"expected {dim + 1} fields, got {len(parts)}")
         try:
-            block[i] = [float(tok) for tok in line.split(",")[:dim]]
+            row = [float(tok) for tok in parts[:-1]]
         except ValueError:
-            return block[:i], (linenos[i], 0, f"non-numeric feature cell in {line!r}")
-    return block, None
+            raise ParseError(path, lineno, f"non-numeric feature cell in {line!r}") from None
+        tok = parts[-1].strip()
+        try:
+            label = int(tok)
+        except ValueError:
+            raise ParseError(path, lineno, f"label {tok!r} is not a base-10 integer") from None
+        if label < 0:
+            raise ParseError(path, lineno, f"negative label {label}")
+        if not all(map(math.isfinite, row)):
+            raise ParseError(path, lineno, "non-finite feature value")
+        features.append(row)
+        labels.append(label)
+        linenos.append(lineno)
+    if not labels:
+        raise ParseError(path, len(lines), "no data rows after the header")
+    for lineno, label in zip(linenos, labels):
+        if num_classes is not None and label >= num_classes:
+            raise ParseError(path, lineno, f"label {label} >= num_classes {num_classes}")
+    return np.asarray(features, dtype=np.float64), np.asarray(labels, dtype=np.int64)
 
 
 def load_domain_csv(path, domain_id=(0, 0), num_classes: int | None = None) -> DomainDataset:
     """Parse one domain CSV (header ``f0,...,f{d-1},label``).
 
-    Malformed headers, rows, cells, or labels raise ParseError with the
-    offending line number. ``num_classes`` defaults to max(label) + 1.
+    A regular file is converted in one ``np.loadtxt`` call; any other file
+    is read by ``_parse_rows``. Malformed headers, rows, cells, or labels
+    raise ParseError with the offending line number. ``num_classes``
+    defaults to max(label) + 1.
     """
     try:
         with open(path, "rb") as fh:
@@ -443,6 +458,10 @@ def load_domain_csv(path, domain_id=(0, 0), num_classes: int | None = None) -> D
         bad = re.search(r"[^\x00-\x7f]", text).start()
         lineno = len((text[:bad] + "x").splitlines())
         raise ParseError(path, lineno, f"non-ASCII character {text[bad]!r}")
+    # int() and float() read digit-group underscores, which the contract
+    # rejects, and np.loadtxt strips the unit separator as a space where
+    # float() rejects it: a file holding either is read line by line
+    regular = b"_" not in raw and b"\x1f" not in raw
     # the bytes, the text and its lines are each about the file's size: hold two at a time
     text = raw.decode("ascii")
     del raw
@@ -458,62 +477,22 @@ def load_domain_csv(path, domain_id=(0, 0), num_classes: int | None = None) -> D
         if tok.strip() != f"f{i}":
             raise ParseError(path, 1, f"header column {i} is {tok!r}, expected 'f{i}'")
 
-    # The per-line checks run here and stop at the first failing line; the
-    # cells of the lines before it, and of a line whose label fails, are
-    # converted in one block below. A problem is (line, rank, message): on
-    # one line a bad feature cell (rank 0) is reported before a bad label
-    # (1), and a bad label before a non-finite feature (2).
-    rows, linenos, labels = [], [], []
-    problem = None
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        if "_" in line:
-            problem = (lineno, 0, f"digit-group underscore in {line!r}")
-            break
-        if line.count(",") != dim:
-            problem = (lineno, 0, f"expected {dim + 1} fields, got {line.count(',') + 1}")
-            break
-        cells, _, tok = line.rpartition(",")
-        if "\x1f" in cells:
-            # float() rejects the unit separator, np.loadtxt strips it as a space
-            problem = (lineno, 0, f"non-numeric feature cell in {line!r}")
-            break
-        rows.append(line)
-        linenos.append(lineno)
-        tok = tok.strip()
+    rows = [line for line in lines[1:] if line.strip()]
+    features = None
+    if regular and rows and all(line.count(",") == dim for line in rows):
         try:
-            label = int(tok)
+            labels = np.array([int(line.rpartition(",")[2]) for line in rows], dtype=np.int64)
+            features = np.loadtxt(rows, delimiter=",", usecols=range(dim), comments=None,
+                                  dtype=np.float64, ndmin=2)
         except ValueError:
-            problem = (lineno, 1, f"label {tok!r} is not a base-10 integer")
-            break
-        if label < 0:
-            problem = (lineno, 1, f"negative label {label}")
-            break
-        labels.append(label)
-    features, bad_cell = _feature_block(rows, linenos, dim)
-    nonfinite = np.flatnonzero(~np.isfinite(features).all(axis=1))
-    problems = [p for p in (problem, bad_cell) if p]
-    if nonfinite.size:
-        problems.append((linenos[nonfinite[0]], 2, "non-finite feature value"))
-    if problems:
-        lineno, _, message = min(problems)
-        raise ParseError(path, lineno, message)
-    if not labels:
-        raise ParseError(path, len(lines), "no data rows after the header")
-
-    labels_arr = np.asarray(labels, dtype=np.int64)
-    if num_classes is None:
-        num_classes = int(labels_arr.max()) + 1
-    else:
-        bad = np.nonzero(labels_arr >= num_classes)[0]
-        if bad.size:
-            raise ParseError(path, linenos[bad[0]],
-                             f"label {labels_arr[bad[0]]} >= num_classes {num_classes}")
+            pass
+    if (features is None or labels.min() < 0 or not np.isfinite(features).all()
+            or (num_classes is not None and labels.max() >= num_classes)):
+        features, labels = _parse_rows(path, lines, dim, num_classes)
     return DomainDataset(
         features=features,
-        labels=labels_arr,
-        num_classes=num_classes,
+        labels=labels,
+        num_classes=int(labels.max()) + 1 if num_classes is None else num_classes,
         domain_id=domain_id,
     )
 

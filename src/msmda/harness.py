@@ -314,12 +314,16 @@ def config_snapshot(config: ExperimentConfig) -> dict:
 def write_outputs(config: ExperimentConfig, records: list[MetricsRecord] | None = None,
                   model: MsMdaModel | None = None) -> None:
     """Persist a run's start (``config.json``, the ``metrics.csv`` header, no
-    stale ``summary.json``) or one finished fold: its rows, then its checkpoint,
-    written as ``.tmp`` and renamed so a checkpoint on disk is whole."""
+    stale ``summary.json`` or checkpoints) or one finished fold: its rows, then
+    its checkpoint, written as ``.tmp`` and renamed so a checkpoint on disk is whole."""
     out = config.out_dir
     if model is None:
-        os.makedirs(os.path.join(out, "checkpoints"), exist_ok=True)
+        ckpts = os.path.join(out, "checkpoints")
+        os.makedirs(ckpts, exist_ok=True)
         write_json(os.path.join(out, "config.json"), config_snapshot(config))
+        for name in os.listdir(ckpts):
+            if name.endswith((".ckpt", ".ckpt.tmp")):
+                os.remove(os.path.join(ckpts, name))
         if os.path.exists(os.path.join(out, "summary.json")):
             os.remove(os.path.join(out, "summary.json"))
         with open(os.path.join(out, "metrics.csv"), "w", encoding="utf-8", newline="") as fh:

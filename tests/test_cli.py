@@ -148,6 +148,28 @@ class TestExitCodes:
         assert "seeds must be distinct" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "gen-synth", "dump-features"])
+    def test_out_that_is_a_file_is_data_error(self, tmp_path, capfd, command):
+        synth = synth_json(tmp_path)
+        argv = {
+            "train": ["train", "--synth", synth] + FAST,
+            "gen-synth": ["gen-synth", "--synth", synth, "--grid", "1x2", "--quiet"],
+            "dump-features": ["dump-features", "--synth", synth, "--checkpoint",
+                              str(tmp_path / "run" / "checkpoints" / "synthetic_seed0.ckpt"),
+                              "--samples", "5"] + FAST,
+        }[command]
+        if command == "dump-features":
+            assert main(["train", "--synth", synth, "--out", str(tmp_path / "run")] + FAST) == 0
+        capfd.readouterr()
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory\n")
+        assert main(argv + ["--out", str(blocker)]) == 3
+        err = capfd.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("data error: ") and str(blocker) in err
+        assert "Traceback" not in err
+        assert blocker.read_text() == "a file, not a directory\n"
+
 
 class TestTrainCommand:
     def test_synth_run_writes_outputs(self, tmp_path):

@@ -1,3 +1,5 @@
+import functools
+import importlib.util
 import json
 import math
 import multiprocessing
@@ -6,7 +8,9 @@ import pickle
 import re
 import signal
 import time
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -387,6 +391,107 @@ class TestDomainCsv:
         path = tmp_path / "bad.csv"
         path.write_text("f0,label\n\n1.0,0\n\n2.0,7\n")
         with pytest.raises(ParseError, match=":5: label 7 >= num_classes 3"):
+            load_domain_csv(path, num_classes=3)
+
+
+def hand_grid():
+    """tools/output_digests.py's HAND_GRID: CRLF and LF files with blank lines,
+    padded cells and labels, and +1, -0, 1E5 and .5 cells."""
+    tool = Path(__file__).resolve().parents[1] / "tools" / "output_digests.py"
+    spec = importlib.util.spec_from_file_location("output_digests", tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.HAND_GRID
+
+
+class TestReaderPaths:
+    """A regular file is converted in one np.loadtxt call; any other file is
+    read by data._parse_rows, whose errors are the per-cell parser's."""
+
+    @pytest.fixture
+    def reader_calls(self, monkeypatch):
+        calls = []
+        real = data._parse_rows
+
+        def counting(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(data, "_parse_rows", counting)
+        return calls
+
+    def test_clean_files_never_reach_the_line_reader(self, tmp_path, monkeypatch):
+        data_dir = tmp_path / "synth"
+        assert main(["gen-synth", "--grid", "2x3", "--out", str(data_dir), "--quiet"]) == 0
+        paths = sorted(data_dir.glob("session*/subject*.csv"))
+        for (k, j), text in hand_grid().items():
+            path = tmp_path / f"hand{k}{j}.csv"
+            path.write_bytes(text.encode("ascii"))
+            paths.append(path)
+
+        def refuse(path, *args):
+            raise AssertionError(f"{path} was read line by line")
+
+        monkeypatch.setattr(data, "_parse_rows", refuse)
+        for path in paths:
+            assert parse_outcome(load_domain_csv, path)[0] == "ok"
+        monkeypatch.undo()
+        for path in paths:
+            assert (parse_outcome(load_domain_csv, path)
+                    == parse_outcome(per_cell_load_domain_csv, path))
+
+    @pytest.mark.parametrize("text, num_classes, message", [
+        ("f0,f1,label\n1.0,2.0,0\n1_0,2.0,1\n", None, ":3: digit-group underscore"),
+        ("f0,f1,label\n1.0,2.0,0\n2.0,\x1f1,1\n", None, ":3: non-numeric feature cell"),
+        ("f0,f1,label\n1.0,2.0,0\n1.0,0\n", None, ":3: expected 3 fields, got 2"),
+        ("f0,f1,label\n1.0,2.0,0\n1.0,2.0,1.5\n", None,
+         ":3: label '1.5' is not a base-10 integer"),
+        ("f0,f1,label\n1.0,2.0,0\n1.0,2.0,-1\n", None, ":3: negative label -1"),
+        ("f0,f1,label\n1.0,2.0,0\n1.0,nan,1\n", None, ":3: non-finite feature value"),
+        ("f0,f1,label\n\n \n", None, ":3: no data rows after the header"),
+        ("f0,f1,label\n1.0,2.0,0\n1.0,2.0,7\n", 3, ":3: label 7 >= num_classes 3"),
+    ], ids=["underscore", "unit-separator-cell", "field-count", "non-integer-label",
+            "negative-label", "non-finite-cell", "no-data-rows", "label-over-classes"])
+    def test_irregular_file_reaches_the_line_reader(self, tmp_path, reader_calls, text,
+                                                    num_classes, message):
+        path = tmp_path / "odd.csv"
+        path.write_bytes(text.encode("ascii"))
+        with pytest.raises(ParseError, match=re.escape(f"{path}{message}")):
+            load_domain_csv(path, num_classes=num_classes)
+        assert reader_calls == [path]
+        load = functools.partial(load_domain_csv, num_classes=num_classes)
+        reference = functools.partial(per_cell_load_domain_csv, num_classes=num_classes)
+        assert parse_outcome(load, path) == parse_outcome(reference, path)
+
+    def test_unit_separator_around_label_is_read_line_by_line_and_accepted(
+            self, tmp_path, reader_calls):
+        path = tmp_path / "sep.csv"
+        path.write_bytes(b"f0,f1,label\n1.0,2.0,\x1f1\x1f\n-0,.5,\x1f0\n")
+        outcome = parse_outcome(load_domain_csv, path)
+        assert reader_calls == [path]
+        assert outcome == parse_outcome(per_cell_load_domain_csv, path)
+        assert outcome[3] == [1, 0]
+
+    def test_wide_header_over_blank_lines_asks_for_little_memory(self, tmp_path):
+        # rows are held as they pass, never a lines-by-header-width block
+        width = 20000
+        path = tmp_path / "wide.csv"
+        path.write_text(",".join(f"f{i}" for i in range(width)) + ",label\n"
+                        + "\n" * width + "x\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match=f":{width + 2}: expected {width + 1} fields"):
+                load_domain_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_bad_cell_after_an_over_range_label_is_reported(self, tmp_path):
+        # the row pass names line 4 before the num_classes check reaches line 2
+        path = tmp_path / "bad.csv"
+        path.write_text("f0,f1,label\n1.0,2.0,5\n1.0,2.0,0\n1.0,oops,1\n")
+        with pytest.raises(ParseError, match=":4: non-numeric feature cell"):
             load_domain_csv(path, num_classes=3)
 
 

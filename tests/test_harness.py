@@ -354,6 +354,7 @@ class TestFileData:
         out = tmp_path / "crashed"
         if stale:
             shutil.copytree(full, out)
+            (out / "checkpoints" / "torn_seed9.ckpt.tmp").write_bytes(b"torn")
         real_train_fold = harness.train_fold
         calls = []
 
@@ -372,8 +373,7 @@ class TestFileData:
         assert (out / "metrics.csv").read_bytes() == b"".join(lines[:1 + 3 * k])  # 3 epochs
         folds = list(dict.fromkeys((r["fold_id"], r["seed"]) for r in metrics_rows(full)))
         kept = sorted(f"{fold_id}_seed{seed}.ckpt" for fold_id, seed in folds[:k])
-        if not stale:
-            assert sorted(p.name for p in (out / "checkpoints").iterdir()) == kept
+        assert sorted(p.name for p in (out / "checkpoints").iterdir()) == kept
         for name in kept:
             assert (out / "checkpoints" / name).read_bytes() == \
                 (full / "checkpoints" / name).read_bytes()

@@ -21,8 +21,12 @@ time, failures), and a summary per trace mode, workload and metric: the
 per-side median and inclusive quartiles over the pairs where both runs
 passed, the change's win and tie counts (``better`` from the change's
 ``BENCHMARK.json``), the relative change of the medians and the parent's
-IQR. A ``--claim W:METRIC`` is met when the change wins at least 9 pairs
-in 10 and its median beats the parent's by more than the parent's IQR.
+IQR. Each trace-0 metric with a ``bound`` (the end-to-end ones) also gets
+``within_bound``: the change's median is no worse than the parent's by more
+than that fraction of it. The top-level ``out_of_bound`` lists every
+``[workload, metric]`` that breaks its bound. A ``--claim W:METRIC`` is met
+when the change wins at least 9 pairs in 10 and its median beats the
+parent's by more than the parent's IQR.
 The file is rewritten after every run, and ``--append`` adds the runs to
 those already in ``--out``, so a series can be made in several calls.
 This script only reads ``perfbench/`` and ``BENCHMARK.json``.
@@ -110,24 +114,33 @@ def summarize(runs: list[dict], spec: dict) -> tuple[dict, list]:
             entry = table.setdefault(name, {"parent": [], "change": []})
             entry["parent"].append(parent[name])
             entry["change"].append(change[name])
-    for table in (t for by_workload in out.values() for t in by_workload.values()):
-        for name, entry in table.items():
-            better, bound = spec.get(name, ("lower", None))
-            p, c = entry.pop("parent"), entry.pop("change")
-            sign = 1 if better == "lower" else -1
-            pq, cq = quartiles(p), quartiles(c)
-            entry.update({
-                "pairs": len(p),
-                "change_wins": sum(sign * (b - a) < 0 for a, b in zip(p, c)),
-                "ties": sum(a == b for a, b in zip(p, c)),
-                "parent_q1_median_q3": pq,
-                "change_q1_median_q3": cq,
-                "median_change_rel": (cq[1] - pq[1]) / pq[1] if pq[1] else None,
-                "parent_iqr": pq[2] - pq[0],
-                "better": better,
-                "bound": bound,
-            })
+    for trace, by_workload in out.items():
+        for table in by_workload.values():
+            for name, entry in table.items():
+                better, bound = spec.get(name, ("lower", None))
+                p, c = entry.pop("parent"), entry.pop("change")
+                sign = 1 if better == "lower" else -1
+                pq, cq = quartiles(p), quartiles(c)
+                entry.update({
+                    "pairs": len(p),
+                    "change_wins": sum(sign * (b - a) < 0 for a, b in zip(p, c)),
+                    "ties": sum(a == b for a, b in zip(p, c)),
+                    "parent_q1_median_q3": pq,
+                    "change_q1_median_q3": cq,
+                    "median_change_rel": (cq[1] - pq[1]) / pq[1] if pq[1] else None,
+                    "parent_iqr": pq[2] - pq[0],
+                    "better": better,
+                    "bound": bound,
+                })
+                if trace == "0" and bound is not None:
+                    entry["within_bound"] = sign * (cq[1] - pq[1]) <= bound * abs(pq[1])
     return out, failed
+
+
+def out_of_bound(summary: dict) -> list:
+    """[workload, metric] of every trace-0 metric whose median breaks its bound."""
+    return [[workload, name] for workload, table in sorted(summary.get("0", {}).items())
+            for name, entry in sorted(table.items()) if entry.get("within_bound") is False]
 
 
 def claim_result(summary: dict, claim: str) -> dict:
@@ -211,6 +224,7 @@ def main(argv=None) -> int:
             print(f"{workload} seed {seed} pair {pair} {side}: exit {record['exit_code']}",
                   file=sys.stderr)
             doc["summary"], doc["failed_pairs"] = summarize(doc["runs"], spec)
+            doc["out_of_bound"] = out_of_bound(doc["summary"])
             doc["claims"] = [claim_result(doc["summary"], c) for c in doc["claim_specs"]]
             write(args.out, doc)
     return 0
