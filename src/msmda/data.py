@@ -9,6 +9,7 @@ declaring the present cells and class count.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import multiprocessing
@@ -27,6 +28,7 @@ NORMALIZATION_KINDS = ("none", "electrode_wise", "sample_wise", "global_wise")
 NORMALIZATION_ORDERS = ("A", "B")
 
 COMBINED_DOMAIN_ID = (-1, -1)
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def check_seed(name: str, value) -> int:
@@ -400,7 +402,8 @@ class BatchSampler:
 def _parse_rows(path, lines: list[str], dim: int, num_classes: int | None):
     """Features and labels of the data lines, read one line at a time. The
     first line that breaks a rule raises ParseError naming it; the rules run
-    in the order of a per-cell parser, and ``label >= num_classes`` after them."""
+    in the order of a per-cell parser, and the label's range (int64, and below
+    ``num_classes``) is checked after them."""
     features, labels, linenos = [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -429,6 +432,8 @@ def _parse_rows(path, lines: list[str], dim: int, num_classes: int | None):
     if not labels:
         raise ParseError(path, len(lines), "no data rows after the header")
     for lineno, label in zip(linenos, labels):
+        if label > _INT64_MAX:
+            raise ParseError(path, lineno, f"label {label} does not fit in int64")
         if num_classes is not None and label >= num_classes:
             raise ParseError(path, lineno, f"label {label} >= num_classes {num_classes}")
     return np.asarray(features, dtype=np.float64), np.asarray(labels, dtype=np.int64)
@@ -484,7 +489,7 @@ def load_domain_csv(path, domain_id=(0, 0), num_classes: int | None = None) -> D
             labels = np.array([int(line.rpartition(",")[2]) for line in rows], dtype=np.int64)
             features = np.loadtxt(rows, delimiter=",", usecols=range(dim), comments=None,
                                   dtype=np.float64, ndmin=2)
-        except ValueError:
+        except (ValueError, OverflowError):  # _parse_rows names the line
             pass
     if (features is None or labels.min() < 0 or not np.isfinite(features).all()
             or (num_classes is not None and labels.max() >= num_classes)):
@@ -520,46 +525,56 @@ def _load_cell(path, cell, num_classes) -> DomainDataset:
     return load_domain_csv(path, domain_id=(k, j), num_classes=num_classes)
 
 
-def _parse_stripe(conn, jobs) -> None:
-    """Worker: send each job's DomainDataset down ``conn``, or the first
+def _run_stripe(conn, fn, jobs) -> None:
+    """Worker: send ``fn(job)`` of each job down ``conn``, or the first
     exception and stop."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops its workers
     for job in jobs:
         try:
-            result = _load_cell(*job)
+            result = fn(job)
         except Exception as exc:
             conn.send(exc)
             return
         conn.send(result)
 
 
-def _load_cells_forked(jobs, workers: int) -> list[DomainDataset]:
-    """``_load_cell`` of each job, worker ``w`` taking jobs ``w, w + workers, ...``.
-    Results are read in job order, so the first failure in that order is raised."""
-    # fork, not spawn: a spawned worker re-imports numpy (about 0.5 s), and
-    # the workers make no BLAS call that a thread of this process could hold
+@contextlib.contextmanager
+def forked_stripes(fn, stripes, died):
+    """Fork one worker per job list in ``stripes`` and yield an iterator over
+    their ``fn(job)`` results in job order: the first job of each stripe, then
+    the second, and so on. A result that is an exception is raised when it is
+    reached, and a worker that exits before sending a result raises
+    ``died(job, exitcode)``. Every worker is stopped when the block ends."""
+    # fork, not spawn: a spawned worker re-imports numpy (about 0.5 s) and is
+    # sent its inputs pickled, where a forked one shares them copy-on-write.
+    # OpenBLAS shuts its thread pool down before a fork (a pthread_atfork
+    # handler), so the workers may call BLAS.
     context = multiprocessing.get_context("fork")
     procs, conns = [], []
+
+    def results():
+        for r in range(max(map(len, stripes), default=0)):
+            for stripe, proc, conn in zip(stripes, procs, conns):
+                if r >= len(stripe):
+                    continue
+                try:
+                    result = conn.recv()
+                except EOFError:
+                    proc.join()
+                    raise died(stripe[r], proc.exitcode) from None
+                if isinstance(result, BaseException):
+                    raise result
+                yield result
+
     try:
-        for w in range(workers):
+        for stripe in stripes:
             reader, writer = context.Pipe(duplex=False)
-            proc = context.Process(target=_parse_stripe, args=(writer, jobs[w::workers]))
+            proc = context.Process(target=_run_stripe, args=(writer, fn, stripe))
             proc.start()
             procs.append(proc)
             conns.append(reader)
             writer.close()  # the worker's copy is then the only one: its exit reads as EOF
-        domains = []
-        for i, (path, _, _) in enumerate(jobs):
-            try:
-                result = conns[i % workers].recv()
-            except EOFError:
-                procs[i % workers].join()
-                raise DataError(f"cannot parse {path}: its worker exited with code "
-                                f"{procs[i % workers].exitcode}") from None
-            if isinstance(result, BaseException):
-                raise result
-            domains.append(result)
-        return domains
+        yield results()
     finally:
         for proc in procs:
             proc.terminate()
@@ -618,7 +633,12 @@ def load_dataset_grid(root) -> dict[tuple[int, int], DomainDataset]:
     if workers <= 1:
         domains = [_load_cell(*job) for job in jobs]
     else:
-        domains = _load_cells_forked(jobs, workers)
+        def died(job, code):
+            return DataError(f"cannot parse {job[0]}: its worker exited with code {code}")
+
+        with forked_stripes(lambda job: _load_cell(*job),
+                            [jobs[w::workers] for w in range(workers)], died) as results:
+            domains = list(results)
     grid = {d.domain_id: d for d in domains}
     if num_classes is None:
         # harmonize the inferred class count across domains

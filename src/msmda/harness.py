@@ -26,6 +26,7 @@ from .data import (
     TransferTask,
     apply_multi_source_normalization,
     check_seed,
+    forked_stripes,
     generate_synthetic,
     iterations_per_epoch,
     load_dataset_grid,
@@ -336,30 +337,58 @@ def write_outputs(config: ExperimentConfig, records: list[MetricsRecord] | None 
     os.replace(path + ".tmp", path)
 
 
+def plan(config: ExperimentConfig):
+    """The run's jobs, ``(seed, fold_index)`` in (seed, fold) order, and a
+    function giving a seed's tasks. File folds do not depend on the seed, so
+    the grid is parsed once, here, and every seed shares it: ``prepare_task``
+    copies and sampling only indexes. Synthetic data has one fold per seed,
+    built by the process that runs it; the first seed's is built here."""
+    first = build_tasks(config, config.seeds[0])
+    jobs = [(seed, i) for seed in config.seeds for i in range(len(first))]
+    if config.data_root is not None:
+        return jobs, lambda seed: first
+    return jobs, lambda seed: first if seed == config.seeds[0] else build_tasks(config, seed)
+
+
 def run_experiment(config: ExperimentConfig, log=None) -> dict:
-    """Full sweep over seeds and folds; returns the summary ``summary.json`` holds."""
-    records: list[MetricsRecord] = []
-    tasks = build_tasks(config, config.seeds[0])
+    """Full sweep over seeds and folds; returns the summary ``summary.json`` holds.
+
+    The jobs run on one process per usable CPU, at most one per job: this
+    process trains jobs ``0, n, 2n, ...`` and forked workers the other
+    stripes. Each fold is persisted and logged here in job order, so the
+    outputs are those of a serial run, and the first failure in that order
+    is raised before any later fold is persisted.
+    """
+    jobs, tasks_of = plan(config)
     if config.out_dir:
         write_outputs(config)
-    for seed in config.seeds:
-        # File folds do not depend on the seed, so the grid is parsed once per
-        # run; sharing is safe as prepare_task copies and sampling only indexes.
-        if seed != config.seeds[0] and config.data_root is None:
-            tasks = build_tasks(config, seed)
-        for fold_index, task in enumerate(tasks):
-            try:
-                fold_records, model = train_fold(task, config, seed, fold_index)
-            except DataError:
-                raise
-            except ValidationError as exc:
-                raise ValidationError(f"fold {task.fold_id} (seed {seed}): {exc}") from exc
+
+    def run(job):
+        seed, fold_index = job
+        task = tasks_of(seed)[fold_index]
+        try:
+            return train_fold(task, config, seed, fold_index)
+        except DataError:
+            raise
+        except ValidationError as exc:
+            raise ValidationError(f"fold {task.fold_id} (seed {seed}): {exc}") from exc
+
+    def died(job, code):
+        seed, fold_index = job
+        fold_id = tasks_of(config.seeds[0])[fold_index].fold_id  # the same for every seed
+        return DataError(f"fold {fold_id} (seed {seed}): its worker exited with code {code}")
+
+    n = min(len(jobs), len(os.sched_getaffinity(0)))
+    records: list[MetricsRecord] = []
+    with forked_stripes(run, [jobs[w::n] for w in range(1, n)], died) as received:
+        for i, job in enumerate(jobs):
+            fold_records, model = run(job) if i % n == 0 else next(received)
             records.extend(fold_records)
             if config.out_dir:
                 write_outputs(config, fold_records, model)
             if log:
                 status, final, best = _fold_outcome(fold_records)
-                log(f"seed {seed} fold {task.fold_id}: "
+                log(f"seed {job[0]} fold {fold_records[0].fold_id}: "
                     f"final={final:.4f} best={best:.4f} ({status})")
     summary = summarize(records, config)
     if config.out_dir:

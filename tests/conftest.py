@@ -1,4 +1,5 @@
 import csv
+import os
 import time
 from dataclasses import replace
 from types import SimpleNamespace
@@ -36,6 +37,11 @@ BENCHMARK_CONFIG = ExperimentConfig(
     train=TrainConfig(epochs=30, batch_size=128, lr=0.01),
     seeds=BENCHMARK_SEEDS,
 )
+
+
+def usable_cpus(monkeypatch, count):
+    """Make ``count`` CPUs usable, as the grid parse and the fold pool see them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
 def per_seed_results(run_dir):

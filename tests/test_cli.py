@@ -64,6 +64,20 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"data error: {path}:4: non-ASCII character '\uff13'\n")
 
+    def test_label_past_int64_is_data_error(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        assert main(["gen-synth", "--synth", synth_json(tmp_path, samples_per_domain=30),
+                     "--grid", "2x1", "--out", str(data_dir), "--quiet"]) == 0
+        path = data_dir / "session2" / "subject1.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = lines[1].rpartition(",")[0] + ",99999999999999999999\n"
+        path.write_text("".join(lines))
+        code = main(["train", "--data", str(data_dir), "--scenario", "cross-session",
+                     "--seeds", "0", "--out", str(tmp_path / "run")] + FAST)
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"data error: {path}:2: label 99999999999999999999 does not fit in int64\n")
+
     def test_bad_flag_value(self, capsys):
         assert main(["train", "--norm", "bogus"]) == 1
 

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from conftest import usable_cpus
 from msmda import data
 from msmda.cli import main
 from msmda.data import (
@@ -338,6 +339,17 @@ class TestDomainCsv:
         path.write_text("f0,label\n1.0,0\n2.0,-1\n")
         with pytest.raises(ParseError, match=":3: negative label -1"):
             load_domain_csv(path)
+
+    # int() reads the label, but an int64 array cannot hold it; a unit
+    # separator padding the first label sends the file to the line reader
+    @pytest.mark.parametrize("pad", ["", "\x1f"], ids=["bulk-reader", "line-reader"])
+    @pytest.mark.parametrize("num_classes", [None, 3])
+    def test_label_past_int64_names_line(self, tmp_path, pad, num_classes):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"f0,label\n1.0,{pad}0\n2.0,99999999999999999999\n")
+        with pytest.raises(ParseError,
+                           match=":3: label 99999999999999999999 does not fit in int64"):
+            load_domain_csv(path, num_classes=num_classes)
 
     def test_blank_and_whitespace_lines_skipped(self, tmp_path):
         path = tmp_path / "gaps.csv"
@@ -889,10 +901,6 @@ class TestDatasetGrid:
             json.dumps({"cells": [[1, 1], [1, 2]], "num_classes": num_classes}))
         with pytest.raises(DataError, match="malformed manifest .*num_classes"):
             load_dataset_grid(root)
-
-
-def usable_cpus(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
 def load_outcome(root):

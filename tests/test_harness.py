@@ -1,16 +1,21 @@
 import csv
 import json
 import math
+import multiprocessing
 import os
+import re
 import shutil
+import signal
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from conftest import per_seed_results
+from conftest import per_seed_results, usable_cpus
 from msmda import data, harness
+from msmda.cli import main
 from msmda.data import (
     NormalizationSpec,
     SynthConfig,
@@ -259,23 +264,25 @@ class TestPersistence:
         full = tmp_path / "full"
         run_experiment(small_config(seeds=(0, 1), out_dir=str(full)))
         real_train_fold = harness.train_fold
-        calls = []
 
+        # keyed on the job: a forked worker's calls never reach this process
         def second_fold_raises(task, config, seed, fold_index):
-            calls.append(seed)
-            if len(calls) == 2:
+            if (seed, fold_index) == (1, 0):  # the second job
                 raise RuntimeError("crash in the second fold")
             return real_train_fold(task, config, seed, fold_index)
 
         monkeypatch.setattr(harness, "train_fold", second_fold_raises)
-        out = tmp_path / "crashed"
-        with pytest.raises(RuntimeError, match="second fold"):
-            run_experiment(small_config(seeds=(0, 1), out_dir=str(out)))
-        ckpt = out / "checkpoints" / "synthetic_seed0.ckpt"
-        assert list((out / "checkpoints").iterdir()) == [ckpt]
-        assert ckpt.read_bytes() == (full / "checkpoints" / ckpt.name).read_bytes()
-        load_checkpoint(ckpt)
-        assert metrics_rows(out) == [r for r in metrics_rows(full) if r["seed"] == "0"]
+        for cpus in (1, 2):
+            usable_cpus(monkeypatch, cpus)
+            out = tmp_path / f"crashed-{cpus}"
+            with pytest.raises(RuntimeError, match="second fold"):
+                run_experiment(small_config(seeds=(0, 1), out_dir=str(out)))
+            ckpt = out / "checkpoints" / "synthetic_seed0.ckpt"
+            assert list((out / "checkpoints").iterdir()) == [ckpt]
+            assert ckpt.read_bytes() == (full / "checkpoints" / ckpt.name).read_bytes()
+            load_checkpoint(ckpt)
+            assert metrics_rows(out) == [r for r in metrics_rows(full) if r["seed"] == "0"]
+            assert multiprocessing.active_children() == []
 
     def test_metrics_csv_full_precision(self, tmp_path):
         out = tmp_path / "run"
@@ -344,30 +351,8 @@ class TestFileData:
         # nothing outlives a run: every run reads the files again
         assert len(parsed()) == 4 * len(cells)
 
-    @pytest.mark.parametrize("stale", [False, True], ids=["empty-out", "finished-run-in-out"])
-    @pytest.mark.parametrize("k", [1, 4])  # fold 5 is the second seed's second fold
-    def test_crash_after_fold_k_keeps_k_whole_folds(self, tmp_path, monkeypatch, k, stale):
-        root = tmp_path / "data"
-        self.save_grid(root)
-        full = tmp_path / "full"
-        run_experiment(self.file_config(root, (0, 1), full))
-        out = tmp_path / "crashed"
-        if stale:
-            shutil.copytree(full, out)
-            (out / "checkpoints" / "torn_seed9.ckpt.tmp").write_bytes(b"torn")
-        real_train_fold = harness.train_fold
-        calls = []
-
-        def later_fold_raises(*args):
-            calls.append(args)
-            if len(calls) == k + 1:
-                raise RuntimeError(f"crash in fold {k + 1}")
-            return real_train_fold(*args)
-
-        monkeypatch.setattr(harness, "train_fold", later_fold_raises)
-        with pytest.raises(RuntimeError, match=f"crash in fold {k + 1}"):
-            run_experiment(self.file_config(root, (0, 1), out))
-
+    def assert_first_k_folds(self, full, out, k):
+        """``out`` holds exactly the first ``k`` folds of the run in ``full``."""
         assert (out / "config.json").read_bytes() == (full / "config.json").read_bytes()
         lines = (full / "metrics.csv").read_bytes().splitlines(keepends=True)
         assert (out / "metrics.csv").read_bytes() == b"".join(lines[:1 + 3 * k])  # 3 epochs
@@ -379,6 +364,194 @@ class TestFileData:
                 (full / "checkpoints" / name).read_bytes()
         assert not list(out.rglob("*.tmp"))
         assert not (out / "summary.json").exists()
+
+    # two seeds of three folds: jobs (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)
+    jobs = [(seed, fold) for seed in (0, 1) for fold in range(3)]
+
+    @pytest.mark.parametrize("stale", [False, True], ids=["empty-out", "finished-run-in-out"])
+    @pytest.mark.parametrize("k", [1, 4])  # fold 5 is the second seed's second fold
+    def test_crash_after_fold_k_keeps_k_whole_folds(self, tmp_path, monkeypatch, k, stale):
+        root = tmp_path / "data"
+        self.save_grid(root)
+        full = tmp_path / "full"
+        run_experiment(self.file_config(root, (0, 1), full))
+        real_train_fold = harness.train_fold
+
+        # keyed on the job: a forked worker's calls never reach this process
+        def later_fold_raises(task, config, seed, fold_index):
+            if (seed, fold_index) == self.jobs[k]:  # the (k+1)-th job
+                raise RuntimeError(f"crash in fold {k + 1}")
+            return real_train_fold(task, config, seed, fold_index)
+
+        monkeypatch.setattr(harness, "train_fold", later_fold_raises)
+        for cpus in (1, 2):
+            usable_cpus(monkeypatch, cpus)
+            out = tmp_path / f"crashed-{cpus}"
+            if stale:
+                shutil.copytree(full, out)
+                (out / "checkpoints" / "torn_seed9.ckpt.tmp").write_bytes(b"torn")
+            with pytest.raises(RuntimeError, match=f"crash in fold {k + 1}"):
+                run_experiment(self.file_config(root, (0, 1), out))
+            self.assert_first_k_folds(full, out, k)
+            assert multiprocessing.active_children() == []
+
+    def test_later_fold_done_in_another_worker_is_not_persisted(self, tmp_path, monkeypatch):
+        # three usable CPUs: this process trains jobs 0 and 3, one worker 1 and 4,
+        # another 2 and 5; job 1 fails only once job 2 has finished
+        root = tmp_path / "data"
+        self.save_grid(root)
+        full = tmp_path / "full"
+        run_experiment(self.file_config(root, (0, 1), full))
+        done = tmp_path / "job2-done"
+        real_train_fold = harness.train_fold
+
+        def second_job_raises_after_third(task, config, seed, fold_index):
+            if (seed, fold_index) == self.jobs[1]:
+                deadline = time.monotonic() + 60
+                while not done.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                raise RuntimeError(f"crash in fold 2 (job 3 done: {done.exists()})")
+            result = real_train_fold(task, config, seed, fold_index)
+            if (seed, fold_index) == self.jobs[2]:
+                done.touch()
+            return result
+
+        monkeypatch.setattr(harness, "train_fold", second_job_raises_after_third)
+        usable_cpus(monkeypatch, 3)
+        out = tmp_path / "crashed"
+        with pytest.raises(RuntimeError, match=r"crash in fold 2 \(job 3 done: True\)"):
+            run_experiment(self.file_config(root, (0, 1), out))
+        self.assert_first_k_folds(full, out, 1)
+        assert multiprocessing.active_children() == []
+
+
+def out_tree(out):
+    """Every file under ``out``, by relative path, with its bytes."""
+    return {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
+class TestForkedFolds:
+    """With more than one usable CPU this process trains jobs 0, n, 2n, ... and
+    forked workers the other stripes; the outputs are those of a serial run."""
+
+    files = TestFileData()
+
+    def make_config(self, tmp_path, source):
+        """A three-seed run's config maker: three folds per seed on a file grid,
+        or one on synthetic data."""
+        if source == "synthetic":
+            return lambda out: small_config(seeds=(0, 1, 2), out_dir=str(out))
+        root = tmp_path / "data"
+        self.files.save_grid(root)
+        return lambda out: self.files.file_config(root, (0, 1, 2), out)
+
+    @pytest.mark.parametrize("source", ["file-grid", "synthetic"])
+    def test_outputs_and_log_equal_a_serial_run(self, tmp_path, monkeypatch, source):
+        make = self.make_config(tmp_path, source)
+        trees, logs = [], []
+        for cpus in (1, 2, 3):
+            usable_cpus(monkeypatch, cpus)
+            lines = []
+            run_experiment(make(tmp_path / f"cpus{cpus}"), log=lines.append)
+            assert multiprocessing.active_children() == []
+            trees.append(out_tree(tmp_path / f"cpus{cpus}"))
+            logs.append(lines)
+        assert len(logs[0]) == (9 if source == "file-grid" else 3)
+        assert len(trees[0]) == 3 + len(logs[0])  # config, metrics, summary, checkpoints
+        assert trees[1] == trees[0] and trees[2] == trees[0]
+        assert logs[1] == logs[0] and logs[2] == logs[0]
+
+    @pytest.mark.parametrize("cpus, expected", [(1, 1), (2, 2), (3, 3), (64, 9)])
+    def test_this_process_trains_stripe_zero(self, tmp_path, monkeypatch, cpus, expected):
+        make = self.make_config(tmp_path, "file-grid")
+        log = tmp_path / "jobs.txt"
+        real_train_fold = harness.train_fold
+
+        def recording_train_fold(task, config, seed, fold_index):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{seed} {fold_index} {os.getpid()}\n")
+            return real_train_fold(task, config, seed, fold_index)
+
+        monkeypatch.setattr(harness, "train_fold", recording_train_fold)
+        usable_cpus(monkeypatch, cpus)
+        run_experiment(make(tmp_path / "run"))
+        assert multiprocessing.active_children() == []
+        pid_of = {}
+        for line in log.read_text(encoding="utf-8").splitlines():
+            seed, fold, pid = map(int, line.split())
+            pid_of[seed, fold] = pid
+        jobs = [(seed, fold) for seed in (0, 1, 2) for fold in range(3)]
+        assert sorted(pid_of) == jobs
+        assert len(set(pid_of.values())) == expected
+        for i, job in enumerate(jobs):
+            assert (pid_of[job] == os.getpid()) == (i % expected == 0)
+            assert pid_of[job] == pid_of[jobs[i % expected]]
+
+    @pytest.mark.parametrize("failing", [(0, 1), (0, 2)], ids=["in-worker", "in-this-process"])
+    def test_fold_error_is_raised_as_in_process(self, tmp_path, monkeypatch, failing):
+        make = self.make_config(tmp_path, "file-grid")
+        real_train_fold = harness.train_fold
+
+        def bad_fold(task, config, seed, fold_index):
+            if (seed, fold_index) == failing:
+                config = replace(config, train=replace(config.train, batch_size=0))
+            return real_train_fold(task, config, seed, fold_index)
+
+        def outcome(cpus):
+            usable_cpus(monkeypatch, cpus)
+            with pytest.raises(ValidationError) as info:
+                run_experiment(make(tmp_path / f"cpus{cpus}"))
+            assert multiprocessing.active_children() == []
+            return type(info.value), str(info.value), out_tree(tmp_path / f"cpus{cpus}")
+
+        monkeypatch.setattr(harness, "train_fold", bad_fold)
+        alone = outcome(1)
+        assert alone[1].startswith(f"fold cross_session-subject0{failing[1] + 1} (seed 0): ")
+        assert outcome(2) == alone
+
+    def test_worker_death_is_a_data_error(self, tmp_path, monkeypatch, capfd):
+        make = self.make_config(tmp_path, "file-grid")
+        real_train_fold = harness.train_fold
+        test_pid = os.getpid()
+
+        def dying_train_fold(task, config, seed, fold_index):
+            if (seed, fold_index) == (1, 0) and os.getpid() != test_pid:
+                os._exit(1)
+            return real_train_fold(task, config, seed, fold_index)
+
+        monkeypatch.setattr(harness, "train_fold", dying_train_fold)
+        usable_cpus(monkeypatch, 2)  # job 3, (1, 0), falls to the worker
+        message = "fold cross_session-subject01 (seed 1): its worker exited with code 1"
+        with pytest.raises(data.DataError, match=re.escape(message)):
+            run_experiment(make(tmp_path / "run"))
+        assert multiprocessing.active_children() == []
+        capfd.readouterr()
+        code = main(["train", "--data", str(tmp_path / "data"), "--scenario", "cross-session",
+                     "--seeds", "0,1", "--epochs", "3", "--batch-size", "16",
+                     "--cfe-dims", "12,10,8", "--dsfe-dim", "6", "--out", str(tmp_path / "cli"),
+                     "--quiet"])
+        assert code == 3
+        assert capfd.readouterr().err == f"data error: {message}\n"
+        assert multiprocessing.active_children() == []
+
+    def test_interrupt_stops_every_worker(self, tmp_path, monkeypatch):
+        make = self.make_config(tmp_path, "file-grid")
+        real_train_fold = harness.train_fold
+        test_pid = os.getpid()
+
+        def interrupting_train_fold(task, config, seed, fold_index):
+            if (seed, fold_index) == (0, 1) and os.getpid() != test_pid:
+                os.kill(test_pid, signal.SIGINT)  # as Ctrl-C would, while the test waits
+                time.sleep(60)
+            return real_train_fold(task, config, seed, fold_index)
+
+        monkeypatch.setattr(harness, "train_fold", interrupting_train_fold)
+        usable_cpus(monkeypatch, 2)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(make(tmp_path / "run"))
+        assert multiprocessing.active_children() == []
+        assert time.monotonic() - start < 30
 
 
 class TestDumpFeatures:

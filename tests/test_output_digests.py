@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import usable_cpus
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_digests.py"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -21,14 +23,23 @@ def load_tool():
     return tool
 
 
-def test_matrix_matches_golden_listing(tmp_path):
+def assert_matrix_matches_golden_listing(root):
     tool = load_tool()
     key = tool.build_key()
     golden = GOLDEN / f"{key}.txt"
     if not golden.exists():
         pytest.skip(f"no golden listing for build {key}")
-    root = (tmp_path / "matrix").resolve()
     tool.run_matrix(root)
     assert tool.digests(root) == golden.read_text().splitlines(), (
         f"output bytes differ from {golden.name}"
     )
+
+
+def test_matrix_matches_golden_listing(tmp_path):
+    assert_matrix_matches_golden_listing((tmp_path / "matrix").resolve())
+
+
+def test_matrix_on_one_usable_cpu_matches_golden_listing(tmp_path, monkeypatch):
+    # a serial run writes the bytes a run on every usable CPU writes
+    usable_cpus(monkeypatch, 1)
+    assert_matrix_matches_golden_listing((tmp_path / "matrix").resolve())
