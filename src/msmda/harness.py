@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -337,35 +338,43 @@ def write_outputs(config: ExperimentConfig, records: list[MetricsRecord] | None 
     os.replace(path + ".tmp", path)
 
 
-def plan(config: ExperimentConfig):
-    """The run's jobs, ``(seed, fold_index)`` in (seed, fold) order, and a
-    function giving a seed's tasks. File folds do not depend on the seed, so
-    the grid is parsed once, here, and every seed shares it: ``prepare_task``
-    copies and sampling only indexes. Synthetic data has one fold per seed,
-    built by the process that runs it; the first seed's is built here."""
-    first = build_tasks(config, config.seeds[0])
-    jobs = [(seed, i) for seed in config.seeds for i in range(len(first))]
-    if config.data_root is not None:
-        return jobs, lambda seed: first
-    return jobs, lambda seed: first if seed == config.seeds[0] else build_tasks(config, seed)
+def blas_threads(cpus: int) -> int:
+    """The BLAS threads each process runs, as OpenBLAS reads them when it
+    loads: the first positive ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS``
+    or ``OMP_NUM_THREADS``, else one per usable CPU, and at most ``cpus``."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = re.match(r"\s*(\d+)", os.environ.get(name, ""))  # read as C's atoi reads it
+        if value and int(value[1]) > 0:
+            return min(int(value[1]), cpus)
+    return cpus
 
 
 def run_experiment(config: ExperimentConfig, log=None) -> dict:
     """Full sweep over seeds and folds; returns the summary ``summary.json`` holds.
 
-    The jobs run on one process per usable CPU, at most one per job: this
-    process trains jobs ``0, n, 2n, ...`` and forked workers the other
-    stripes. Each fold is persisted and logged here in job order, so the
-    outputs are those of a serial run, and the first failure in that order
-    is raised before any later fold is persisted.
+    The jobs, ``(seed, fold_index)`` in (seed, fold) order, run on ``n``
+    processes: the usable CPUs divided by the BLAS threads of each, at most
+    one per job. This process trains jobs ``0, n, 2n, ...`` and forked
+    workers the other stripes. Each fold is persisted and logged here in job
+    order, so the outputs are those of a serial run, and the first failure
+    in that order is raised before any later fold is persisted.
     """
-    jobs, tasks_of = plan(config)
+    # File folds do not depend on the seed, so the grid is parsed once, before
+    # any fork, and every seed shares it: prepare_task copies and sampling only
+    # indexes. Synthetic data has one fold per seed, built where it is trained;
+    # a process holds only the domains of the seed it trains.
+    held = [config.seeds[0], build_tasks(config, config.seeds[0])]
+    fold_ids = [task.fold_id for task in held[1]]  # the same for every seed
+    jobs = [(seed, i) for seed in config.seeds for i in range(len(fold_ids))]
     if config.out_dir:
         write_outputs(config)
 
     def run(job):
         seed, fold_index = job
-        task = tasks_of(seed)[fold_index]
+        if seed != held[0] and config.data_root is None:
+            held[1] = None  # free the last seed's domains before building these
+            held[:] = seed, build_tasks(config, seed)
+        task = held[1][fold_index]
         try:
             return train_fold(task, config, seed, fold_index)
         except DataError:
@@ -375,10 +384,11 @@ def run_experiment(config: ExperimentConfig, log=None) -> dict:
 
     def died(job, code):
         seed, fold_index = job
-        fold_id = tasks_of(config.seeds[0])[fold_index].fold_id  # the same for every seed
-        return DataError(f"fold {fold_id} (seed {seed}): its worker exited with code {code}")
+        return DataError(f"fold {fold_ids[fold_index]} (seed {seed}): "
+                         f"its worker exited with code {code}")
 
-    n = min(len(jobs), len(os.sched_getaffinity(0)))
+    cpus = len(os.sched_getaffinity(0))
+    n = min(len(jobs), cpus // blas_threads(cpus))
     records: list[MetricsRecord] = []
     with forked_stripes(run, [jobs[w::n] for w in range(1, n)], died) as received:
         for i, job in enumerate(jobs):

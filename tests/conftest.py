@@ -39,9 +39,15 @@ BENCHMARK_CONFIG = ExperimentConfig(
 )
 
 
-def usable_cpus(monkeypatch, count):
-    """Make ``count`` CPUs usable, as the grid parse and the fold pool see them."""
+def usable_cpus(monkeypatch, count, blas_threads=1):
+    """Make ``count`` CPUs usable, and each process's BLAS ``blas_threads``
+    threads wide (``None``: as OpenBLAS chooses with no setting), as the grid
+    parse and the fold pool see them."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    if blas_threads is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(blas_threads))
 
 
 def per_seed_results(run_dir):

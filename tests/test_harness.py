@@ -7,6 +7,7 @@ import re
 import shutil
 import signal
 import time
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -461,8 +462,13 @@ class TestForkedFolds:
         assert trees[1] == trees[0] and trees[2] == trees[0]
         assert logs[1] == logs[0] and logs[2] == logs[0]
 
-    @pytest.mark.parametrize("cpus, expected", [(1, 1), (2, 2), (3, 3), (64, 9)])
-    def test_this_process_trains_stripe_zero(self, tmp_path, monkeypatch, cpus, expected):
+    # processes: usable CPUs over each one's BLAS threads, at most one per job;
+    # with no thread setting OpenBLAS takes every usable CPU, so one process
+    @pytest.mark.parametrize("cpus, blas, expected", [
+        (1, 1, 1), (2, 1, 2), (3, 1, 3), (64, 1, 9), (4, None, 1), (4, 2, 2), (3, 2, 1),
+    ])
+    def test_this_process_trains_stripe_zero(self, tmp_path, monkeypatch, cpus, blas,
+                                             expected):
         make = self.make_config(tmp_path, "file-grid")
         log = tmp_path / "jobs.txt"
         real_train_fold = harness.train_fold
@@ -473,7 +479,7 @@ class TestForkedFolds:
             return real_train_fold(task, config, seed, fold_index)
 
         monkeypatch.setattr(harness, "train_fold", recording_train_fold)
-        usable_cpus(monkeypatch, cpus)
+        usable_cpus(monkeypatch, cpus, blas)
         run_experiment(make(tmp_path / "run"))
         assert multiprocessing.active_children() == []
         pid_of = {}
@@ -486,6 +492,41 @@ class TestForkedFolds:
         for i, job in enumerate(jobs):
             assert (pid_of[job] == os.getpid()) == (i % expected == 0)
             assert pid_of[job] == pid_of[jobs[i % expected]]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_process_holds_one_seeds_synthetic_domains(self, monkeypatch, cpus):
+        # a paper-shape seed's domains are about 120 MiB: the previous seed's
+        # must be gone before the next seed's are built
+        real_build_tasks = harness.build_tasks
+        built = []
+
+        def checking_build_tasks(config, seed):
+            assert [seed_of for seed_of, ref in built if ref() is not None] == []
+            tasks = real_build_tasks(config, seed)
+            built.extend((seed, weakref.ref(task)) for task in tasks)
+            return tasks
+
+        monkeypatch.setattr(harness, "build_tasks", checking_build_tasks)
+        usable_cpus(monkeypatch, cpus)
+        summary = run_experiment(small_config(seeds=(0, 1, 2, 3)))
+        assert [s["seed"] for s in summary["per_seed"]] == [0, 1, 2, 3]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("env, expected", [
+        ({}, 4),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 2),
+        ({"GOTO_NUM_THREADS": "3"}, 3),
+        ({"OMP_NUM_THREADS": "2,1"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "x", "GOTO_NUM_THREADS": "-2"}, 4),
+        ({"OPENBLAS_NUM_THREADS": "16"}, 4),
+    ])
+    def test_blas_threads_read_as_openblas_reads_them(self, monkeypatch, env, expected):
+        usable_cpus(monkeypatch, 4, None)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert harness.blas_threads(4) == expected
 
     @pytest.mark.parametrize("failing", [(0, 1), (0, 2)], ids=["in-worker", "in-this-process"])
     def test_fold_error_is_raised_as_in_process(self, tmp_path, monkeypatch, failing):

@@ -43,3 +43,9 @@ def test_matrix_on_one_usable_cpu_matches_golden_listing(tmp_path, monkeypatch):
     # a serial run writes the bytes a run on every usable CPU writes
     usable_cpus(monkeypatch, 1)
     assert_matrix_matches_golden_listing((tmp_path / "matrix").resolve())
+
+
+def test_matrix_on_two_usable_cpus_matches_golden_listing(tmp_path, monkeypatch):
+    # one BLAS thread each: two processes train the folds, as perfbench runs them
+    usable_cpus(monkeypatch, 2)
+    assert_matrix_matches_golden_listing((tmp_path / "matrix").resolve())
