@@ -327,8 +327,10 @@ def generate_synthetic(config: SynthConfig) -> list[DomainDataset]:
         shift = config.domain_shift_scale * rng.standard_normal(config.feature_dim)
         scale = 1.0 + config.domain_shift_scale * rng.uniform(-0.5, 0.5, config.feature_dim)
         centers = scale * means + shift
-        noise = config.noise_std * rng.standard_normal((n, config.feature_dim))
-        features = centers[labels_flat] + noise
+        # in place, so building a domain holds at most two matrices of its size
+        features = rng.standard_normal((n, config.feature_dim))
+        features *= config.noise_std
+        features += centers[labels_flat]
         perm = rng.permutation(n)
         domains.append(DomainDataset(
             features=features[perm],

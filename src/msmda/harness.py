@@ -10,6 +10,7 @@ and shuffles for a given seed.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import os
@@ -32,6 +33,7 @@ from .data import (
     iterations_per_epoch,
     load_dataset_grid,
     make_folds,
+    merge_domains,
     normalize,
     normalize_matrix,
     synthetic_task,
@@ -44,6 +46,7 @@ from .model import (
     MsMdaModel,
     TrainConfig,
     _forward,
+    arena_size,
     compute_losses,
     extract_branch_features,
     init_model,
@@ -143,22 +146,43 @@ def _derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence([int(p) for p in parts]).generate_state(1)[0])
 
 
+def _norm_after_merge(norm: NormalizationSpec, method: str) -> bool:
+    """Whether the sources are z-scored only once merged: the baseline's order B."""
+    return method == "source_combine" and norm.order == "B" and norm.kind != "none"
+
+
 def build_tasks(config: ExperimentConfig, seed: int) -> list[TransferTask]:
-    """Fold list for one master seed; identical across methods by design."""
+    """Fold list for one master seed; the raw data is the same across methods.
+
+    Each domain (grid cell or generated domain) is normalized once, here, on
+    its own statistics, and replaces its raw matrix before the next is made:
+    the folds of a grid share the cells, and a process holds one copy. The
+    domains stay raw for kind ``none`` and for the baseline's order B.
+    """
     if config.data_root is not None:
-        grid = load_dataset_grid(config.data_root)
-        return make_folds(grid, config.scenario, loso=config.loso)
-    synth = replace(config.synth, rng_seed=_derived_seed(seed, _STREAM_DATA))
-    return [synthetic_task(generate_synthetic(synth))]
+        domains = load_dataset_grid(config.data_root)
+    else:
+        synth = replace(config.synth, rng_seed=_derived_seed(seed, _STREAM_DATA))
+        domains = dict(enumerate(generate_synthetic(synth)))
+    if config.norm.kind != "none" and not _norm_after_merge(config.norm, config.method):
+        for key in domains:
+            domains[key] = normalize(domains[key], config.norm)
+    if config.data_root is not None:
+        return make_folds(domains, config.scenario, loso=config.loso)
+    return [synthetic_task(list(domains.values()))]
 
 
 def prepare_task(task: TransferTask, norm: NormalizationSpec, method: str) -> TransferTask:
-    """Normalize per domain; the baseline additionally merges its sources."""
-    target = normalize(task.target, norm)
-    sources = apply_multi_source_normalization(
-        task.sources, norm, concatenate=(method == "source_combine")
-    )
-    return TransferTask(sources=sources, target=target, fold_id=task.fold_id)
+    """The fold as ``method`` trains on it, from a task ``build_tasks`` made
+    under the same ``norm`` and ``method``: the multi-branch method takes the
+    task as it is, and the baseline merges its sources, then for order B
+    normalizes the merged sources and the target."""
+    if method != "source_combine":
+        return task
+    merged = merge_domains(task.sources)
+    if not _norm_after_merge(norm, method):
+        return replace(task, sources=[merged])
+    return replace(task, sources=[normalize(merged, norm)], target=normalize(task.target, norm))
 
 
 def _accuracy(pred: np.ndarray, labels: np.ndarray) -> float:
@@ -349,20 +373,63 @@ def blas_threads(cpus: int) -> int:
     return cpus
 
 
+def available_memory(proc: str = "/proc", cgroups: str = "/sys/fs/cgroup") -> float:
+    """Bytes this process may still allocate: ``MemAvailable``, or the cgroup's
+    ``memory.max - memory.current`` where both files read and that is less;
+    ``inf`` when neither reads."""
+    def read(*path):
+        with open(os.path.join(*path), encoding="ascii") as fh:
+            return fh.read()
+
+    readings = []
+    with contextlib.suppress(OSError, TypeError):  # TypeError: no such line
+        kib = re.search(r"^MemAvailable:\s*(\d+) kB$", read(proc, "meminfo"), re.M)[1]
+        readings.append(1024 * int(kib))
+    # ValueError: memory.max reads "max"; a cgroup v1 hierarchy has no 0:: line
+    with contextlib.suppress(OSError, TypeError, ValueError):
+        group = re.search(r"^0::/?(.*)$", read(proc, "self", "cgroup"), re.M)[1]
+        limit, used = (int(read(cgroups, group, name)) for name in ("memory.max", "memory.current"))
+        readings.append(limit - used)
+    return min(readings, default=math.inf)
+
+
+def process_bytes(config: ExperimentConfig, task: TransferTask) -> int:
+    """Estimated bytes one more fold process adds, from a built ``task``'s
+    shapes: the domains it makes (a synthetic seed's, the baseline's merged
+    sources; a grid is built before the fork and shared), its arena with
+    gradient and Adam moments, and a step's or evaluation's activations."""
+    dim, row = task.target.feature_dim, 8 * (task.target.feature_dim + 1)
+    source_rows = sum(s.num_samples for s in task.sources)
+    domains = 0 if config.data_root else row * (source_rows + task.target.num_samples)
+    branches = task.num_sources
+    if config.method == "source_combine":
+        branches = 1
+        domains += row * source_rows * (1 + _norm_after_merge(config.norm, config.method))
+    model = replace(config.model, num_branches=branches, input_dim=dim,
+                    num_classes=task.target.num_classes)
+    rows = max(config.train.batch_size * (branches + 1), task.target.num_samples)
+    # each extractor layer keeps its input and pre-activation, and the backward as many
+    activations = 2 * 8 * rows * (dim + 2 * sum(model.cfe_dims))
+    return domains + 4 * 8 * arena_size(model) + activations
+
+
 def run_experiment(config: ExperimentConfig, log=None) -> dict:
     """Full sweep over seeds and folds; returns the summary ``summary.json`` holds.
 
     The jobs, ``(seed, fold_index)`` in (seed, fold) order, run on ``n``
     processes: the usable CPUs divided by the BLAS threads of each, at most
-    one per job. This process trains jobs ``0, n, 2n, ...`` and forked
-    workers the other stripes. Each fold is persisted and logged here in job
-    order, so the outputs are those of a serial run, and the first failure
-    in that order is raised before any later fold is persisted.
+    one per job, and at most as many as ``available_memory`` holds by
+    ``process_bytes``, but at least one. This process trains jobs ``0, n,
+    2n, ...`` and forked workers the other stripes; a worker sends each
+    fold's rows and its model's config and arena values. Each fold is
+    persisted and logged here in job order, so the outputs are those of a
+    serial run, and the first failure in that order is raised before any
+    later fold is persisted.
     """
-    # File folds do not depend on the seed, so the grid is parsed once, before
-    # any fork, and every seed shares it: prepare_task copies and sampling only
-    # indexes. Synthetic data has one fold per seed, built where it is trained;
-    # a process holds only the domains of the seed it trains.
+    # File folds do not depend on the seed, so the grid is parsed and
+    # normalized once, before any fork, and every seed shares it: sampling
+    # only indexes. Synthetic data has one fold per seed, built where it is
+    # trained; a process holds only the domains of the seed it trains.
     held = [config.seeds[0], build_tasks(config, config.seeds[0])]
     fold_ids = [task.fold_id for task in held[1]]  # the same for every seed
     jobs = [(seed, i) for seed in config.seeds for i in range(len(fold_ids))]
@@ -382,17 +449,28 @@ def run_experiment(config: ExperimentConfig, log=None) -> dict:
         except ValidationError as exc:
             raise ValidationError(f"fold {task.fold_id} (seed {seed}): {exc}") from exc
 
+    def run_in_worker(job):
+        # the checkpoint needs only the values: not the gradient, nor the Adam moments
+        fold_records, model = run(job)
+        return fold_records, model.config, model.arena.value
+
     def died(job, code):
         seed, fold_index = job
         return DataError(f"fold {fold_ids[fold_index]} (seed {seed}): "
                          f"its worker exited with code {code}")
 
     cpus = len(os.sched_getaffinity(0))
-    n = min(len(jobs), cpus // blas_threads(cpus))
+    fits = available_memory() // process_bytes(config, held[1][0])
+    n = max(1, int(min(len(jobs), cpus // blas_threads(cpus), fits)))
     records: list[MetricsRecord] = []
-    with forked_stripes(run, [jobs[w::n] for w in range(1, n)], died) as received:
+    with forked_stripes(run_in_worker, [jobs[w::n] for w in range(1, n)], died) as received:
         for i, job in enumerate(jobs):
-            fold_records, model = run(job) if i % n == 0 else next(received)
+            if i % n == 0:
+                fold_records, model = run(job)
+            else:
+                fold_records, model_config, values = next(received)
+                model = MsMdaModel(model_config, Parameter(np.zeros_like(values)))
+                model.arena.value[...] = values  # unchecked: a diverged fold's too
             records.extend(fold_records)
             if config.out_dir:
                 write_outputs(config, fold_records, model)

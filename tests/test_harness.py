@@ -1,12 +1,15 @@
+import contextlib
 import csv
 import json
 import math
 import multiprocessing
 import os
+import pickle
 import re
 import shutil
 import signal
 import time
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -36,7 +39,7 @@ from msmda.harness import (
     train_fold,
     verify,
 )
-from msmda.model import ModelConfig, TrainConfig, load_checkpoint, predict
+from msmda.model import ModelConfig, TrainConfig, arena_size, load_checkpoint, predict
 from msmda.neuralcore import LinearLayer, softmax_cross_entropy
 
 
@@ -150,14 +153,123 @@ class TestBaseline:
         assert summary["method"] == "source_combine"
 
     def test_merge_respects_order(self):
-        config = small_config(norm=NormalizationSpec(kind="electrode_wise", order="A"))
-        task = build_tasks(config, 0)[0]
-        merged_a = prepare_task(task, config.norm, "source_combine").sources[0]
-        merged_b = prepare_task(
-            task, NormalizationSpec(kind="electrode_wise", order="B"), "source_combine"
-        ).sources[0]
+        # build_tasks normalizes for its own spec, so each order builds its task
+        def merged(order):
+            config = small_config(norm=NormalizationSpec(kind="electrode_wise", order=order),
+                                  method="source_combine")
+            return prepare_task(build_tasks(config, 0)[0], config.norm, config.method).sources[0]
+
+        merged_a, merged_b = merged("A"), merged("B")
         assert merged_a.num_samples == merged_b.num_samples
         assert not np.array_equal(merged_a.features, merged_b.features)
+
+
+class TestNormalizeOnce:
+    """build_tasks normalizes each domain once; a fold's features are those of
+    normalizing untouched raw copies, and one process holds one copy."""
+
+    cells = [(k, j) for k in (1, 2) for j in (1, 2, 3)]
+
+    def save_grid(self, root):
+        """A 2-session x 3-subject grid, column 0 constant in every domain but
+        cell (1, 2), whose first row is constant: zero-variance slices."""
+        domains = generate_synthetic(SynthConfig(
+            num_domains=6, samples_per_domain=40, num_classes=3, feature_dim=8, rng_seed=0))
+        grid = {}
+        for cell, d in zip(self.cells, domains):
+            d.features[:, 0] = 1.5
+            grid[cell] = replace(d, domain_id=cell)
+        grid[1, 2].features[0] = 2.5
+        save_dataset_grid(grid, root)
+
+    def config_and_raw_folds(self, tmp_path, source, norm, method):
+        """The run config and the untouched raw folds of its first seed."""
+        if source == "synthetic":
+            config = small_config(norm=norm, method=method,
+                                  synth=replace(small_config().synth, num_domains=4))
+            return config, build_tasks(replace(config, norm=NormalizationSpec(kind="none")), 0)
+        root = tmp_path / "data"
+        self.save_grid(root)
+        config = small_config(synth=None, data_root=str(root), scenario="cross_subject",
+                              loso=True, norm=norm, method=method)
+        return config, data.make_folds(data.load_dataset_grid(root), "cross_subject", loso=True)
+
+    @pytest.mark.parametrize("order", ["A", "B"])
+    @pytest.mark.parametrize("method", ["ms_mda", "source_combine"])
+    @pytest.mark.parametrize("kind", data.NORMALIZATION_KINDS)
+    @pytest.mark.parametrize("source", ["synthetic", "loso-grid"])
+    def test_features_equal_normalizing_raw_copies(self, tmp_path, monkeypatch,
+                                                   source, kind, method, order):
+        usable_cpus(monkeypatch, 1)
+        norm = NormalizationSpec(kind, order)
+        config, raw_tasks = self.config_and_raw_folds(tmp_path, source, norm, method)
+        tasks = build_tasks(config, 0)
+        assert len(tasks) == (1 if source == "synthetic" else 6)
+        for task, raw in zip(tasks, raw_tasks, strict=True):
+            prepared = prepare_task(task, config.norm, config.method)
+            sources = [data.normalize_matrix(s.features, kind) for s in raw.sources]
+            if method == "source_combine":
+                if order == "A":
+                    sources = [np.vstack(sources)]
+                else:
+                    sources = [data.normalize_matrix(np.vstack([s.features for s in raw.sources]),
+                                                     kind)]
+            expected = sources + [data.normalize_matrix(raw.target.features, kind)]
+            got = [s.features for s in prepared.sources] + [prepared.target.features]
+            assert [a.tobytes() for a in got] == [e.tobytes() for e in expected]
+            labels = [s.labels for s in prepared.sources] + [prepared.target.labels]
+            assert_array_equal(np.concatenate(labels),
+                               np.concatenate([s.labels for s in raw.sources + [raw.target]]))
+        # the first fold's target is cell (1, 1), its first source cell (1, 2)
+        first = prepare_task(tasks[0], config.norm, config.method)
+        if source == "loso-grid" and kind == "electrode_wise":
+            assert np.all(first.target.features[:, 0] == 0.0)
+        if source == "loso-grid" and kind == "sample_wise" and method == "ms_mda":
+            assert np.all(first.sources[0].features[0] == 0.0)
+
+    def test_kind_none_makes_no_copy(self):
+        config = small_config(norm=NormalizationSpec(kind="none"))
+        task = build_tasks(config, 0)[0]
+        prepared = prepare_task(task, config.norm, config.method)
+        assert prepared is task
+
+    @pytest.mark.parametrize("method", ["ms_mda", "source_combine"])
+    def test_loso_run_normalizes_each_cell_once(self, tmp_path, monkeypatch, method):
+        usable_cpus(monkeypatch, 1)
+        root = tmp_path / "data"
+        self.save_grid(root)
+        normalized = []
+        real_normalize = data.normalize
+
+        def counting_normalize(domain, spec):
+            normalized.append(domain.domain_id)
+            return real_normalize(domain, spec)
+
+        monkeypatch.setattr(data, "normalize", counting_normalize)
+        monkeypatch.setattr(harness, "normalize", counting_normalize)
+        config = small_config(synth=None, data_root=str(root), scenario="cross_subject",
+                              loso=True, norm=NormalizationSpec(), method=method,
+                              train=TrainConfig(epochs=1, batch_size=16), seeds=(0, 1))
+        summary = run_experiment(config)
+        assert sum(entry["num_folds"] for entry in summary["per_seed"]) == 2 * 6
+        assert sorted(normalized) == self.cells
+
+    def test_build_and_prepare_peak_under_five_quarters_of_the_raw_domains(self):
+        # a raw matrix and its normalized copy coexist for one domain at a time
+        config = small_config(norm=NormalizationSpec(),
+                              synth=SynthConfig(num_domains=15, samples_per_domain=500,
+                                                feature_dim=64, rng_seed=0))
+        raw = build_tasks(replace(config, norm=NormalizationSpec(kind="none")), 0)[0]
+        raw_bytes = sum(d.features.nbytes + d.labels.nbytes for d in raw.sources + [raw.target])
+        del raw
+        tracemalloc.start()
+        try:
+            prepared = prepare_task(build_tasks(config, 0)[0], config.norm, config.method)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert prepared.num_sources == 14
+        assert peak < 1.25 * raw_bytes
 
 
 class TestAblation:
@@ -593,6 +705,74 @@ class TestForkedFolds:
             run_experiment(make(tmp_path / "run"))
         assert multiprocessing.active_children() == []
         assert time.monotonic() - start < 30
+
+    def recording_stripes(self, monkeypatch):
+        """Patch the pool to record the worker stripes of each run and every
+        result a worker sends; returns the two lists."""
+        pools, received = [], []
+        real_forked_stripes = harness.forked_stripes
+
+        @contextlib.contextmanager
+        def recording(fn, stripes, died):
+            pools.append(stripes)
+            with real_forked_stripes(fn, stripes, died) as results:
+                yield (received.append(result) or result for result in results)
+
+        monkeypatch.setattr(harness, "forked_stripes", recording)
+        return pools, received
+
+    def test_a_worker_sends_rows_and_arena_values(self, tmp_path, monkeypatch):
+        # not the gradient and both Adam moments: three more arenas' worth
+        make = self.make_config(tmp_path, "synthetic")
+        pools, received = self.recording_stripes(monkeypatch)
+        usable_cpus(monkeypatch, 2)
+        run_experiment(make(tmp_path / "run"))
+        assert pools == [[[(1, 0)]]] and len(received) == 1
+        rows = received[0][0]
+        ckpt = tmp_path / "run" / "checkpoints" / f"{rows[0].fold_id}_seed{rows[0].seed}.ckpt"
+        value_bytes = 8 * arena_size(load_checkpoint(ckpt).config)
+        slack = 1024
+        assert 3 * value_bytes > slack
+        assert len(pickle.dumps(received[0])) <= value_bytes + len(pickle.dumps(rows)) + slack
+
+    @pytest.mark.parametrize("source", ["file-grid", "synthetic"])
+    def test_pool_holds_what_memory_holds(self, tmp_path, monkeypatch, source):
+        make = self.make_config(tmp_path, source)
+        config = make(tmp_path / "unused")
+        one = harness.process_bytes(config, build_tasks(config, 0)[0])
+        pools, _ = self.recording_stripes(monkeypatch)
+        usable_cpus(monkeypatch, 1)
+        run_experiment(make(tmp_path / "serial"))
+        serial = out_tree(tmp_path / "serial")
+        usable_cpus(monkeypatch, 2)
+        for budget, workers in ((2 * one - 1, 0), (2 * one, 1)):
+            monkeypatch.setattr(harness, "available_memory", lambda: budget)
+            run_experiment(make(tmp_path / f"budget{budget}"))
+            assert len(pools[-1]) == workers
+            assert out_tree(tmp_path / f"budget{budget}") == serial
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("meminfo, cgroup, expected", [
+        ("1000", None, 1024000),
+        ("1000", ("600000", "100000"), 500000),
+        ("1000", ("9000000", "100000"), 1024000),
+        ("1000", ("max", "100000"), 1024000),
+        (None, ("600000", "100000"), 500000),
+        (None, None, math.inf),
+    ])
+    def test_available_memory_is_the_smaller_reading(self, tmp_path, meminfo, cgroup,
+                                                     expected):
+        proc, cgroups = tmp_path / "proc", tmp_path / "cgroup"
+        (proc / "self").mkdir(parents=True)
+        (proc / "self" / "cgroup").write_text("4:memory:/v1\n0::/jobs/run\n")
+        if meminfo:
+            (proc / "meminfo").write_text(f"MemTotal: 9999 kB\nMemAvailable: {meminfo} kB\n")
+        if cgroup:
+            group = cgroups / "jobs" / "run"
+            group.mkdir(parents=True)
+            (group / "memory.max").write_text(cgroup[0] + "\n")
+            (group / "memory.current").write_text(cgroup[1] + "\n")
+        assert harness.available_memory(str(proc), str(cgroups)) == expected
 
 
 class TestDumpFeatures:
