@@ -40,7 +40,8 @@ from .data import (
     write_json,
 )
 from .errors import DataError, ValidationError
-from .losses import KernelSpec, alpha_schedule, discrepancy_loss, mmd_squared
+from .losses import (NUM_SCALES, SCALE_STEP, KernelSpec, alpha_schedule, discrepancy_loss,
+                     mmd_squared)
 from .model import (
     ModelConfig,
     MsMdaModel,
@@ -408,9 +409,11 @@ def process_bytes(config: ExperimentConfig, task: TransferTask) -> int:
     model = replace(config.model, num_branches=branches, input_dim=dim,
                     num_classes=task.target.num_classes)
     rows = max(config.train.batch_size * (branches + 1), task.target.num_samples)
-    # each extractor layer keeps its input and pre-activation, and the backward as many
-    activations = 2 * 8 * rows * (dim + 2 * sum(model.cfe_dims))
-    return domains + 4 * 8 * arena_size(model) + activations
+    # a step holds the sampler's batches and their stacked copy, one output per layer
+    # and, in the backward, a gradient, its mask and their product at the widest one;
+    # malloc keeps freed heap, and a paper-shape process holds about 1.4x that: count 2x
+    per_row = 2 * dim + sum(model.cfe_dims) + 3 * max(model.cfe_dims)
+    return domains + 4 * 8 * arena_size(model) + 2 * 8 * rows * per_row
 
 
 def run_experiment(config: ExperimentConfig, log=None) -> dict:
@@ -623,11 +626,12 @@ def composite_gradcheck_case():
     ]
     target = rng.uniform(-1.0, 1.0, (rows, 6))
 
-    cfe, branches = _forward(model, np.vstack([b[0] for b in batches] + [target]))
+    acts, branches = _forward(model, np.vstack([b[0] for b in batches] + [target]))
     branches = list(branches)
-    pres = [z for _, z in cfe] + [z1 for _, z1, _, _ in branches]
+    pres = ([layer.forward(h) for layer, h in zip(model.cfe, acts)]
+            + [b.dsfe.forward(h) for b, (h, _, _) in zip(model.branches, branches)])
     margin = min(float(np.abs(z).min()) for z in pres)
-    probs = [softmax(logits[3 * rows:]) for _, _, _, logits in branches]
+    probs = [softmax(logits[3 * rows:]) for _, _, logits in branches]
     for i in range(len(probs)):
         for j in range(i + 1, len(probs)):
             margin = min(margin, float(np.abs(probs[i] - probs[j]).min()))
@@ -662,9 +666,8 @@ def brute_force_mmd(source, target, kernel: KernelSpec) -> float:
             median = float(np.median(dists)) if dists else 0.0
             if median <= 0.0:
                 median = 1.0
-            center = (kernel.num_scales - 1) / 2.0
-            divisors = [median * kernel.scale_step ** (i - center)
-                        for i in range(kernel.num_scales)]
+            center = (NUM_SCALES - 1) / 2.0
+            divisors = [median * SCALE_STEP ** (i - center) for i in range(NUM_SCALES)]
 
         def k(x, y):
             diff = x - y
@@ -682,7 +685,7 @@ def _grad_items() -> list[VerifyItem]:
     rng = np.random.default_rng(0)
 
     def add(name, report):
-        items.append(VerifyItem(name, report.passed, report.describe().splitlines()[0]))
+        items.append(VerifyItem(name, report.passed, report.describe()))
 
     # linear layer + cross-entropy stack
     layer = LinearLayer.init(4, 3, rng)

@@ -20,6 +20,9 @@ from .errors import ShapeError, ValidationError
 from .neuralcore import as_matrix, softmax_cross_entropy
 
 KERNEL_KINDS = ("rbf_multiscale", "rbf_fixed", "linear")
+# the multi-kernel MMD of DAN (Long et al., 2015): 5 bandwidths doubling around the median
+NUM_SCALES = 5
+SCALE_STEP = 2.0
 
 
 def _check_positive(name: str, value) -> None:
@@ -31,26 +34,21 @@ def _check_positive(name: str, value) -> None:
 class KernelSpec:
     """Kernel used by the MMD estimator.
 
-    ``rbf_multiscale`` averages ``num_scales`` Gaussian kernels
-    exp(-d^2 / b) whose divisors ``b`` are geometrically spaced by
-    ``scale_step`` around the median pairwise squared distance of the joint
-    batch (resolved per call unless ``bandwidths`` pins them explicitly).
+    ``rbf_multiscale`` averages ``NUM_SCALES`` Gaussian kernels
+    exp(-d^2 / b) whose divisors ``b`` double (``SCALE_STEP``) around the
+    median pairwise squared distance of the joint batch (resolved per call
+    unless ``bandwidths`` pins them explicitly).
     ``rbf_fixed`` is exp(-d^2 / (2 * fixed_bandwidth)) with
     ``fixed_bandwidth`` = sigma^2. ``linear`` is the plain dot product.
     """
 
     kind: str = "rbf_multiscale"
-    num_scales: int = 5
-    scale_step: float = 2.0
     fixed_bandwidth: float = 1.0
     bandwidths: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValidationError(f"unknown kernel kind {self.kind!r}")
-        if not isinstance(self.num_scales, numbers.Integral) or self.num_scales < 1:
-            raise ValidationError(f"num_scales must be an integer >= 1, got {self.num_scales!r}")
-        _check_positive("scale_step", self.scale_step)
         _check_positive("fixed_bandwidth", self.fixed_bandwidth)
         if self.bandwidths is not None:
             if len(self.bandwidths) == 0:
@@ -70,11 +68,12 @@ class KernelSpec:
         s = np.asarray(source, dtype=np.float64)
         t = np.asarray(target, dtype=np.float64)
         median = _joint_median(*_sq_dists(s, t))
-        return replace(self, bandwidths=self._spread(median))
+        return replace(self, bandwidths=_spread(median))
 
-    def _spread(self, base: float) -> tuple[float, ...]:
-        center = (self.num_scales - 1) / 2.0
-        return tuple(base * self.scale_step ** (i - center) for i in range(self.num_scales))
+
+def _spread(base: float) -> tuple[float, ...]:
+    center = (NUM_SCALES - 1) / 2.0
+    return tuple(base * SCALE_STEP ** (i - center) for i in range(NUM_SCALES))
 
 
 @dataclass(frozen=True)
@@ -229,7 +228,7 @@ def mmd_squared(source, target, kernel: KernelSpec | None = None):
     elif kernel.bandwidths is not None:
         divisors = list(kernel.bandwidths)
     else:
-        divisors = list(kernel._spread(_joint_median(d_ss, d_tt, d_st, work)))
+        divisors = list(_spread(_joint_median(d_ss, d_tt, d_st, work)))
 
     value = _rbf_block(d_ss, source, source, divisors, 1.0 / (n * n), grad_s, grad_s, work)
     value += _rbf_block(d_tt, target, target, divisors, 1.0 / (m * m), grad_t, grad_t, work)

@@ -180,30 +180,28 @@ def init_model(config: ModelConfig) -> MsMdaModel:
 
 
 def _forward(model: MsMdaModel, x: np.ndarray, offsets=None):
-    """Each extractor layer's (input, pre-activation), plus a lazy iterator of
-    each branch's (rows, pre-activation, features, logits), so only one
-    branch is held at a time; ``rows`` is what the branch's feature layer saw.
+    """The extractor's activations (``x``, then each layer's LeakyReLU output,
+    which is also its backward's mask), plus a lazy iterator of each branch's
+    (rows, features, logits), so only one branch is held at a time; ``rows``
+    is what the branch's feature layer saw.
 
     With ``offsets`` (row bounds of the stacked sources, then the target)
     branch i sees its source rows, then the target rows; else every row.
     """
     slope = model.config.leaky_slope
-    cfe = []
-    h = x
+    acts = [x]
     for layer in model.cfe:
-        z = layer.forward(h)
-        cfe.append((h, z))
-        h = leaky_relu(z, slope)
+        acts.append(leaky_relu(layer.forward(acts[-1]), slope))
+    h = acts[-1]
 
     def branches():
         for i, branch in enumerate(model.branches):
             rows = h if offsets is None else np.vstack(
                 [h[offsets[i]:offsets[i + 1]], h[offsets[-2]:]])
-            z = branch.dsfe.forward(rows)
-            r = leaky_relu(z, slope)
-            yield rows, z, r, branch.dsc.forward(r)
+            r = leaky_relu(branch.dsfe.forward(rows), slope)
+            yield rows, r, branch.dsc.forward(r)
 
-    return cfe, branches()
+    return acts, branches()
 
 
 def _input_matrix(model: MsMdaModel, x, name: str) -> np.ndarray:
@@ -249,12 +247,12 @@ def compute_losses(
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     slope = model.config.leaky_slope
 
-    cfe, branches = _forward(model, np.vstack(feats), offsets)
+    acts, branches = _forward(model, np.vstack(feats), offsets)
     saved, logits_src, probs_tgt, mmd_values = [], [], [], []
-    for (rows, z1, r, logits), n_src in zip(branches, sizes):
+    for (rows, r, logits), n_src in zip(branches, sizes):
         value, g_src, g_tgt = mmd_squared(r[:n_src], r[n_src:], kernel)
         mmd_values.append(value)
-        saved.append((rows, z1, r, g_src, g_tgt))
+        saved.append((rows, r, g_src, g_tgt))
         logits_src.append(logits[:n_src])
         probs_tgt.append(softmax(logits[n_src:]))
 
@@ -264,24 +262,24 @@ def compute_losses(
     if not math.isfinite(breakdown.total):
         return breakdown  # diverged run: report the damage, run no backward
 
-    grad_q = np.zeros_like(cfe[-1][1])
+    grad_q = np.zeros_like(acts[-1])
     # release each activation once consumed: a lower peak leaves fewer pages to refault
     for i, (branch, n_src) in enumerate(zip(model.branches, sizes)):
-        rows, z1, r, g_src, g_tgt = saved[i]
+        rows, r, g_src, g_tgt = saved[i]
         saved[i] = None
         g_logits_tgt = softmax_backward(beta * disc_grads[i], probs_tgt[i])
         g_r = branch.dsc.backward(r, np.vstack([cls_grads[i], g_logits_tgt]))
         # mmd component is the branch mean, so each branch carries alpha/N
         g_r[:n_src] += (alpha / model.num_branches) * g_src
         g_r[n_src:] += (alpha / model.num_branches) * g_tgt
-        g_joined = branch.dsfe.backward(rows, leaky_relu_backward(g_r, z1, slope))
+        g_joined = branch.dsfe.backward(rows, leaky_relu_backward(g_r, r, slope))
         grad_q[offsets[i]:offsets[i + 1]] += g_joined[:n_src]
         grad_q[offsets[-2]:offsets[-1]] += g_joined[n_src:]
     g = grad_q
     for layer in reversed(model.cfe):
-        h, z = cfe.pop()
+        out = acts.pop()
         # the first layer's input is the data batch: no gradient wanted there
-        g = layer.backward(h, leaky_relu_backward(g, z, slope),
+        g = layer.backward(acts[-1], leaky_relu_backward(g, out, slope),
                            input_grad=layer is not model.cfe[0])
     return breakdown
 
@@ -312,7 +310,7 @@ def predict(model: MsMdaModel, target_features):
     Returns (avg_probs, labels, per_branch_probs).
     """
     _, branches = _forward(model, _input_matrix(model, target_features, "target features"))
-    per_branch = [softmax(logits) for _, _, _, logits in branches]
+    per_branch = [softmax(logits) for _, _, logits in branches]
     avg = np.mean(per_branch, axis=0)
     labels = np.argmax(avg, axis=1).astype(np.int64)
     return avg, labels, per_branch
@@ -322,7 +320,7 @@ def extract_branch_features(model: MsMdaModel, features):
     """Every branch's feature-layer output (the classifier's input), in
     branch order, lazily from one extractor pass over ``features``."""
     _, branches = _forward(model, _input_matrix(model, features, "features"))
-    return (r for _, _, r, _ in branches)
+    return (r for _, r, _ in branches)
 
 
 def save_checkpoint(model: MsMdaModel, path) -> None:

@@ -752,6 +752,16 @@ class TestForkedFolds:
             assert out_tree(tmp_path / f"budget{budget}") == serial
         assert multiprocessing.active_children() == []
 
+    def test_process_bytes_formula(self):
+        config = small_config()  # 3 synthetic domains of 90 x 8, 2 branches, batch 32
+        domains = 8 * (8 + 1) * 3 * 90  # features and label of every row
+        arena = 4 * 8 * (9 * 12 + 13 * 10 + 11 * 8 + 2 * (9 * 6 + 7 * 3))
+        # 3 batches of 32 rows: batches and stack (2 x 8), outputs (12 + 10 + 8),
+        # backward at the widest layer (3 x 12); twice that for the freed heap
+        activations = 2 * 8 * (3 * 32) * (2 * 8 + 30 + 3 * 12)
+        assert harness.process_bytes(config, build_tasks(config, 0)[0]) == (
+            domains + arena + activations) == 160624
+
     @pytest.mark.parametrize("meminfo, cgroup, expected", [
         ("1000", None, 1024000),
         ("1000", ("600000", "100000"), 500000),

@@ -429,7 +429,7 @@ class TestExtractBranchFeatures:
         feats = [f for f, _ in batches] + [target]
         offsets = np.concatenate([[0], np.cumsum([f.shape[0] for f in feats])])
         _, branches = _forward(model, np.vstack(feats), offsets)
-        branch_features = [r for _, _, r, _ in branches]
+        branch_features = [r for _, r, _ in branches]
         target_features = list(extract_branch_features(model, target))
         for i in range(3):
             n_src = batches[i][0].shape[0]

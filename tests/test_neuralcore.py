@@ -152,6 +152,24 @@ class TestLeakyRelu:
                 expected = np.where(x > 0.0, x, slope * x)
                 assert leaky_relu(x, slope).tobytes() == expected.tobytes()
 
+    @given(
+        st.lists(st.one_of(
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -1e-310, np.inf, -np.inf, np.nan]),
+            st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+        ), min_size=1, max_size=24),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_backward_from_output_equals_backward_from_input(self, values, grad, slope):
+        # the step keeps only each layer's output; its sign must be the input's
+        z = np.array([values])
+        g = np.full_like(z, grad)
+        with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+            from_output = leaky_relu_backward(g, leaky_relu(z, slope), slope)
+            from_input = leaky_relu_backward(g, z, slope)
+        assert from_output.tobytes() == from_input.tobytes()
+
     def test_invalid_slope(self):
         for slope in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ValidationError):
@@ -319,7 +337,34 @@ class TestFiniteDifferenceCheck:
 
         report = finite_difference_check(loss_fn, [p])
         assert not report.passed
-        assert report.worst[0].rel_error > 0.1
+        assert report.max_rel_error > 0.1
+
+    def test_fail_line_names_the_worst_entry(self):
+        p, q = Parameter(np.array([[1.0, 2.0]])), Parameter(np.array([[1.0, 3.0, -1.0]]))
+
+        def loss_fn():
+            p.grad += 2.0 * p.value
+            q.grad += 2.0 * q.value
+            q.grad[0, 1] += 0.5  # the only wrong entry: param 1, flat index 1
+            return float((p.value ** 2).sum() + (q.value ** 2).sum())
+
+        report = finite_difference_check(loss_fn, [p, q])
+        assert report.describe() == (
+            f"FAIL: max relative error {report.max_rel_error:.3e} over 5 entries "
+            "(tolerance 1.0e-04) at param 1 entry 1")
+        assert "\n" not in report.describe()
+
+    def test_nan_gradient_fails(self):
+        p = Parameter(np.array([[1.0, 2.0, 3.0]]))
+
+        def loss_fn():
+            p.grad += 2.0 * p.value
+            p.grad[0, 1] = np.nan
+            return float((p.value ** 2).sum())
+
+        report = finite_difference_check(loss_fn, [p])
+        assert not report.passed
+        assert report.describe().endswith(" at param 0 entry 1")
 
     def test_checks_every_entry_of_every_parameter(self):
         rng = np.random.default_rng(8)
