@@ -12,7 +12,6 @@ from .data import (
     NormalizationSpec,
     SynthConfig,
     TransferTask,
-    apply_multi_source_normalization,
     de_gaussian,
     generate_synthetic,
     load_domain_csv,

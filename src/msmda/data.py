@@ -157,8 +157,6 @@ def normalize_matrix(x, kind: str) -> np.ndarray:
     x = as_matrix(x, "matrix")
     if x.size == 0:
         raise ValidationError("cannot normalize an empty matrix")
-    if kind == "none":
-        return x.copy()
     if kind == "electrode_wise":
         return _zscore(x, axis=0)
     if kind == "sample_wise":
@@ -169,57 +167,23 @@ def normalize_matrix(x, kind: str) -> np.ndarray:
 
 
 def normalize(data: DomainDataset, spec: NormalizationSpec) -> DomainDataset:
-    """A copy of ``data`` with its features normalized by ``spec.kind``."""
+    """A copy of ``data`` with its features normalized by ``spec.kind``, or
+    ``data`` itself for kind ``none``."""
+    if spec.kind == "none":
+        return data
     return replace(data, features=normalize_matrix(data.features, spec.kind))
 
 
 def merge_domains(domains: list[DomainDataset]) -> DomainDataset:
-    """Concatenate domains into one synthetic combined domain."""
-    if not domains:
-        raise ValidationError("cannot merge an empty domain list")
-    dim = domains[0].feature_dim
-    classes = domains[0].num_classes
-    for d in domains:
-        if d.feature_dim != dim:
-            raise ValidationError(
-                f"mixed feature dims: {d.domain_id} has {d.feature_dim}, expected {dim}"
-            )
-        if d.num_classes != classes:
-            raise ValidationError("mixed num_classes across merged domains")
+    """Concatenate a task's sources into one synthetic combined domain; the
+    ``TransferTask`` has checked that they share the target's width and
+    class count."""
     return DomainDataset(
         features=np.vstack([d.features for d in domains]),
         labels=np.concatenate([d.labels for d in domains]),
-        num_classes=classes,
+        num_classes=domains[0].num_classes,
         domain_id=COMBINED_DOMAIN_ID,
     )
-
-
-def apply_multi_source_normalization(
-    domains: list[DomainDataset],
-    spec: NormalizationSpec,
-    concatenate: bool = False,
-) -> list[DomainDataset]:
-    """Normalize multiple source domains, optionally merging them.
-
-    Without concatenation (the multi-branch path) each domain is normalized
-    independently. With concatenation (the source-combine path), order A
-    normalizes each domain first and then merges; order B merges first and
-    normalizes the combined matrix. Returns the domain list, of length 1
-    when concatenated.
-    """
-    if not domains:
-        raise ValidationError("need at least one domain")
-    dim = domains[0].feature_dim
-    for d in domains:
-        if d.feature_dim != dim:
-            raise ValidationError(
-                f"mixed feature dims: {d.domain_id} has {d.feature_dim}, expected {dim}"
-            )
-    if not concatenate:
-        return [normalize(d, spec) for d in domains]
-    if spec.order == "A":
-        return [merge_domains([normalize(d, spec) for d in domains])]
-    return [normalize(merge_domains(domains), spec)]
 
 
 def make_folds(grid, scenario: str, loso: bool = False) -> list[TransferTask]:

@@ -26,7 +26,6 @@ from .data import (
     NormalizationSpec,
     SynthConfig,
     TransferTask,
-    apply_multi_source_normalization,
     check_seed,
     forked_stripes,
     generate_synthetic,
@@ -152,22 +151,27 @@ def _norm_after_merge(norm: NormalizationSpec, method: str) -> bool:
     return method == "source_combine" and norm.order == "B" and norm.kind != "none"
 
 
+def normalize_domains(domains: dict, norm: NormalizationSpec, method: str) -> None:
+    """Normalize each value of ``domains`` in place, on its own statistics,
+    unless ``method`` normalizes the sources only once merged. Each replaces
+    its raw matrix before the next is made, so a process holds one copy."""
+    if not _norm_after_merge(norm, method):
+        for key in domains:
+            domains[key] = normalize(domains[key], norm)
+
+
 def build_tasks(config: ExperimentConfig, seed: int) -> list[TransferTask]:
     """Fold list for one master seed; the raw data is the same across methods.
 
-    Each domain (grid cell or generated domain) is normalized once, here, on
-    its own statistics, and replaces its raw matrix before the next is made:
-    the folds of a grid share the cells, and a process holds one copy. The
-    domains stay raw for kind ``none`` and for the baseline's order B.
+    Each domain (grid cell or generated domain) is normalized once, here, by
+    ``normalize_domains``: the folds of a grid share the cells.
     """
     if config.data_root is not None:
         domains = load_dataset_grid(config.data_root)
     else:
         synth = replace(config.synth, rng_seed=_derived_seed(seed, _STREAM_DATA))
         domains = dict(enumerate(generate_synthetic(synth)))
-    if config.norm.kind != "none" and not _norm_after_merge(config.norm, config.method):
-        for key in domains:
-            domains[key] = normalize(domains[key], config.norm)
+    normalize_domains(domains, config.norm, config.method)
     if config.data_root is not None:
         return make_folds(domains, config.scenario, loso=config.loso)
     return [synthetic_task(list(domains.values()))]
@@ -330,7 +334,9 @@ def config_snapshot(config: ExperimentConfig) -> dict:
         "data_root": config.data_root,
         "synth": asdict(config.synth) if config.synth else None,
         "normalization": asdict(config.norm),
-        "model": asdict(config.model),
+        # a fold derives the other model fields from its data and seed
+        "model": {"cfe_dims": list(config.model.cfe_dims), "dsfe_dim": config.model.dsfe_dim,
+                  "leaky_slope": config.model.leaky_slope},
         "train": asdict(config.train),
         "kernel": asdict(config.kernel),
         "seeds": list(config.seeds),
@@ -807,13 +813,18 @@ def _norm_items() -> list[VerifyItem]:
         f"max |second pass - first pass| {worst:.2e}",
     ))
 
-    # order A vs order B on single-sample domains with columns [0] and [10]
-    d0 = DomainDataset(np.array([[0.0]]), np.array([0]), num_classes=2, domain_id=(1, 1))
-    d1 = DomainDataset(np.array([[10.0]]), np.array([1]), num_classes=2, domain_id=(1, 2))
-    spec_a = NormalizationSpec(kind="electrode_wise", order="A")
-    spec_b = NormalizationSpec(kind="electrode_wise", order="B")
-    merged_a = apply_multi_source_normalization([d0, d1], spec_a, concatenate=True)[0]
-    merged_b = apply_multi_source_normalization([d0, d1], spec_b, concatenate=True)[0]
+    # the baseline's order A vs order B, as a run builds and prepares its fold,
+    # on single-sample sources [0] and [10] and a target [5]
+    raw = [DomainDataset(np.array([[v]]), np.array([0]), num_classes=2, domain_id=(1, j))
+           for j, v in enumerate((0.0, 10.0, 5.0))]
+    merged = []
+    for order in ("A", "B"):
+        spec = NormalizationSpec(kind="electrode_wise", order=order)
+        domains = dict(enumerate(raw))
+        normalize_domains(domains, spec, "source_combine")
+        task = TransferTask(sources=[domains[0], domains[1]], target=domains[2], fold_id="orders")
+        merged.append(prepare_task(task, spec, "source_combine").sources[0])
+    merged_a, merged_b = merged
     a_ok = np.array_equal(merged_a.features, np.array([[0.0], [0.0]]))
     b_ok = np.array_equal(merged_b.features, np.array([[-1.0], [1.0]]))
     items.append(VerifyItem(

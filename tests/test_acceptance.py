@@ -20,14 +20,14 @@ from msmda.cli import main as cli_main
 from msmda.data import (
     DomainDataset,
     NormalizationSpec,
-    apply_multi_source_normalization,
+    TransferTask,
     de_gaussian,
     generate_synthetic,
     make_folds,
     normalize_matrix,
 )
 from msmda.data import SynthConfig
-from msmda.harness import composite_gradcheck_case
+from msmda.harness import composite_gradcheck_case, normalize_domains, prepare_task
 from msmda.losses import KernelSpec, alpha_schedule, discrepancy_loss, mmd_squared
 from msmda.model import ModelConfig, compute_losses
 from msmda.neuralcore import (
@@ -235,14 +235,21 @@ def test_criterion_4_normalization_invariants():
         once = normalize_matrix(x, kind)
         idempotent &= float(np.max(np.abs(normalize_matrix(once, kind) - once))) < 1e-10
 
-    d0 = DomainDataset(np.array([[0.0]]), np.array([0]), 2, domain_id=(1, 1))
-    d1 = DomainDataset(np.array([[10.0]]), np.array([1]), 2, domain_id=(1, 2))
-    a = apply_multi_source_normalization(
-        [d0, d1], NormalizationSpec(kind="electrode_wise", order="A"), concatenate=True)
-    b = apply_multi_source_normalization(
-        [d0, d1], NormalizationSpec(kind="electrode_wise", order="B"), concatenate=True)
-    orders_ok = (np.array_equal(a[0].features, [[0.0], [0.0]])
-                 and np.array_equal(b[0].features, [[-1.0], [1.0]]))
+    # the source-combine baseline's merged sources, built and prepared as a run does
+    merged = []
+    for order in ("A", "B"):
+        spec = NormalizationSpec(kind="electrode_wise", order=order)
+        domains = {
+            0: DomainDataset(np.array([[0.0]]), np.array([0]), 2, domain_id=(1, 1)),
+            1: DomainDataset(np.array([[10.0]]), np.array([1]), 2, domain_id=(1, 2)),
+            2: DomainDataset(np.array([[4.0]]), np.array([0]), 2, domain_id=(1, 3)),
+        }
+        normalize_domains(domains, spec, "source_combine")
+        task = TransferTask(sources=[domains[0], domains[1]], target=domains[2], fold_id="c4")
+        merged.append(prepare_task(task, spec, "source_combine").sources[0])
+    a, b = merged
+    orders_ok = (np.array_equal(a.features, [[0.0], [0.0]])
+                 and np.array_equal(b.features, [[-1.0], [1.0]]))
 
     ok = col_means_ok and col_stds_ok and const_ok and idempotent and orders_ok
     report("4", ok, "electrode-wise stats, idempotence, and order A/B divergence hold")

@@ -27,7 +27,6 @@ from msmda.data import (
     NormalizationSpec,
     SynthConfig,
     TransferTask,
-    apply_multi_source_normalization,
     de_gaussian,
     generate_synthetic,
     iterations_per_epoch,
@@ -42,6 +41,7 @@ from msmda.data import (
     write_domain_csv,
 )
 from msmda.errors import DataError, ParseError, ValidationError
+from msmda.harness import normalize_domains, prepare_task
 
 
 def small_domain(rng, rows=6, dim=4, num_classes=2, domain_id=(1, 1)):
@@ -527,11 +527,9 @@ class TestNormalize:
         assert_array_equal(out[0], [-1.0, 1.0])
         assert_array_equal(out[1], [0.0, 0.0])  # constant row zeroed
 
-    def test_none_returns_copy(self):
-        x = np.array([[1.0, 2.0]])
-        out = normalize_matrix(x, "none")
-        assert_array_equal(out, x)
-        assert out is not x
+    def test_none_returns_input(self):
+        ds = small_domain(np.random.default_rng(3))
+        assert normalize(ds, NormalizationSpec(kind="none")) is ds
 
     def test_electrode_wise_column_stats(self):
         rng = np.random.default_rng(4)
@@ -567,61 +565,50 @@ class TestNormalize:
             normalize_matrix(np.zeros((0, 3)), "electrode_wise")
 
 
+def combined_sources(sources, spec):
+    """The baseline's merged sources, as a run builds and prepares its fold:
+    ``normalize_domains`` over the sources and a one-row target, then
+    ``prepare_task``."""
+    target = DomainDataset(np.zeros((1, sources[0].feature_dim)), np.array([0]),
+                           sources[0].num_classes, domain_id=(9, 9))
+    domains = dict(enumerate(sources + [target]))
+    normalize_domains(domains, spec, "source_combine")
+    task = TransferTask(sources=[domains[i] for i in range(len(sources))],
+                        target=domains[len(sources)], fold_id="t")
+    return prepare_task(task, spec, "source_combine").sources[0]
+
+
 class TestMultiSourceNormalization:
     def test_single_domain_orders_coincide(self):
         rng = np.random.default_rng(7)
         d = small_domain(rng)
-        a = apply_multi_source_normalization(
-            [d], NormalizationSpec(kind="electrode_wise", order="A"), concatenate=True)
-        b = apply_multi_source_normalization(
-            [d], NormalizationSpec(kind="electrode_wise", order="B"), concatenate=True)
-        assert_array_equal(a[0].features, b[0].features)
+        a = combined_sources([d], NormalizationSpec(kind="electrode_wise", order="A"))
+        b = combined_sources([d], NormalizationSpec(kind="electrode_wise", order="B"))
+        assert_array_equal(a.features, b.features)
 
     def test_order_divergence_hand_example(self):
         d0 = DomainDataset(np.array([[0.0]]), np.array([0]), 2, domain_id=(1, 1))
         d1 = DomainDataset(np.array([[10.0]]), np.array([1]), 2, domain_id=(1, 2))
-        a = apply_multi_source_normalization(
-            [d0, d1], NormalizationSpec(kind="electrode_wise", order="A"), concatenate=True)
-        b = apply_multi_source_normalization(
-            [d0, d1], NormalizationSpec(kind="electrode_wise", order="B"), concatenate=True)
-        assert_array_equal(a[0].features, [[0.0], [0.0]])
-        assert_array_equal(b[0].features, [[-1.0], [1.0]])
+        a = combined_sources([d0, d1], NormalizationSpec(kind="electrode_wise", order="A"))
+        b = combined_sources([d0, d1], NormalizationSpec(kind="electrode_wise", order="B"))
+        assert_array_equal(a.features, [[0.0], [0.0]])
+        assert_array_equal(b.features, [[-1.0], [1.0]])
 
     def test_kind_none_concatenates_only(self):
         rng = np.random.default_rng(8)
         d0, d1 = small_domain(rng, domain_id=(1, 1)), small_domain(rng, domain_id=(1, 2))
-        out = apply_multi_source_normalization(
-            [d0, d1], NormalizationSpec(kind="none", order="B"), concatenate=True)
-        assert_array_equal(out[0].features, np.vstack([d0.features, d1.features]))
-
-    def test_branch_path_normalizes_each_domain(self):
-        rng = np.random.default_rng(9)
-        domains = [small_domain(rng, domain_id=(1, j)) for j in range(1, 4)]
-        out = apply_multi_source_normalization(
-            domains, NormalizationSpec(kind="electrode_wise"), concatenate=False)
-        assert len(out) == 3
-        for d in out:
-            assert np.max(np.abs(d.features.mean(axis=0))) < 1e-9
-
-    def test_mixed_dims_rejected(self):
-        rng = np.random.default_rng(10)
-        with pytest.raises(ValidationError):
-            apply_multi_source_normalization(
-                [small_domain(rng, dim=3), small_domain(rng, dim=4)],
-                NormalizationSpec(),
-            )
+        out = combined_sources([d0, d1], NormalizationSpec(kind="none", order="B"))
+        assert_array_equal(out.features, np.vstack([d0.features, d1.features]))
 
     def test_order_a_gives_zero_per_domain_column_means(self):
         rng = np.random.default_rng(11)
         d0 = small_domain(rng, rows=8, domain_id=(1, 1))
         d1 = replace(d0, features=d0.features + 10.0, domain_id=(1, 2))
-        merged = apply_multi_source_normalization(
-            [d0, d1], NormalizationSpec(kind="electrode_wise", order="A"), concatenate=True)[0]
+        merged = combined_sources([d0, d1], NormalizationSpec(kind="electrode_wise", order="A"))
         first, second = merged.features[:8], merged.features[8:]
         assert np.max(np.abs(first.mean(axis=0))) < 1e-9
         assert np.max(np.abs(second.mean(axis=0))) < 1e-9
-        merged_b = apply_multi_source_normalization(
-            [d0, d1], NormalizationSpec(kind="electrode_wise", order="B"), concatenate=True)[0]
+        merged_b = combined_sources([d0, d1], NormalizationSpec(kind="electrode_wise", order="B"))
         assert np.max(np.abs(merged_b.features[:8].mean(axis=0))) > 0.1
 
 
@@ -1066,3 +1053,13 @@ class TestMergeAndTask:
         domains = generate_synthetic(SynthConfig(num_domains=1, samples_per_domain=10))
         with pytest.raises(ValidationError):
             synthetic_task(domains)
+
+    @pytest.mark.parametrize("mismatch", [dict(dim=3), dict(num_classes=3)],
+                             ids=["width", "classes"])
+    def test_mixed_dims_rejected(self, mismatch):
+        # merge_domains relies on this check: it stacks the sources unchecked
+        rng = np.random.default_rng(10)
+        source = small_domain(rng, **mismatch)
+        with pytest.raises(ValidationError, match="does not match target"):
+            TransferTask(sources=[source], target=small_domain(rng, domain_id=(1, 2)),
+                         fold_id="x")

@@ -205,16 +205,19 @@ class TestNormalizeOnce:
         config, raw_tasks = self.config_and_raw_folds(tmp_path, source, norm, method)
         tasks = build_tasks(config, 0)
         assert len(tasks) == (1 if source == "synthetic" else 6)
+
+        def oracle(x):
+            return x if kind == "none" else data.normalize_matrix(x, kind)
+
         for task, raw in zip(tasks, raw_tasks, strict=True):
             prepared = prepare_task(task, config.norm, config.method)
-            sources = [data.normalize_matrix(s.features, kind) for s in raw.sources]
+            sources = [oracle(s.features) for s in raw.sources]
             if method == "source_combine":
                 if order == "A":
                     sources = [np.vstack(sources)]
                 else:
-                    sources = [data.normalize_matrix(np.vstack([s.features for s in raw.sources]),
-                                                     kind)]
-            expected = sources + [data.normalize_matrix(raw.target.features, kind)]
+                    sources = [oracle(np.vstack([s.features for s in raw.sources]))]
+            expected = sources + [oracle(raw.target.features)]
             got = [s.features for s in prepared.sources] + [prepared.target.features]
             assert [a.tobytes() for a in got] == [e.tobytes() for e in expected]
             labels = [s.labels for s in prepared.sources] + [prepared.target.labels]
@@ -345,14 +348,16 @@ class TestPersistence:
         config = small_config(out_dir=str(out))
         first = run_experiment(config)
         snapshot = json.loads((out / "config.json").read_text())
+        # only the model fields a run reads; a fold derives the others
+        assert sorted(snapshot["model"]) == ["cfe_dims", "dsfe_dim", "leaky_slope"]
 
         rebuilt = ExperimentConfig(
             scenario=snapshot["scenario"],
             data_root=snapshot["data_root"],
             synth=SynthConfig(**snapshot["synth"]) if snapshot["synth"] else None,
             norm=NormalizationSpec(**snapshot["normalization"]),
-            model=ModelConfig(**{**snapshot["model"],
-                                 "cfe_dims": tuple(snapshot["model"]["cfe_dims"])}),
+            model=ModelConfig(num_branches=1, **{**snapshot["model"],
+                                                 "cfe_dims": tuple(snapshot["model"]["cfe_dims"])}),
             train=TrainConfig(**snapshot["train"]),
             seeds=tuple(snapshot["seeds"]),
             loso=snapshot["loso"],
@@ -895,6 +900,13 @@ class TestVerify:
         monkeypatch.setattr("msmda.harness.softmax_cross_entropy", perturbed)
         report = verify("grad")
         assert not report.passed
+
+    def test_unmerged_baseline_fails_norm(self, monkeypatch):
+        # the order check runs the run's own fold preparation, not a copy of it
+        monkeypatch.setattr("msmda.harness.prepare_task", lambda task, norm, method: task)
+        report = verify("norm")
+        assert not report.passed
+        assert "[FAIL] order A vs order B divergence" in report.describe()
 
     def test_unknown_suite(self):
         with pytest.raises(ValidationError):
