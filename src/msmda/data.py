@@ -328,14 +328,13 @@ class BatchSampler:
     wraparound carries over epoch boundaries.
     """
 
-    def __init__(self, task: TransferTask, batch_size: int, seed):
+    def __init__(self, task: TransferTask, batch_size: int, seed: np.random.SeedSequence):
         if batch_size < 1:
             raise ValidationError("batch_size must be >= 1")
         self.task = task
         self.batch_size = batch_size
         domains = list(task.sources) + [task.target]
-        seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        self._rngs = [np.random.default_rng(s) for s in seq.spawn(len(domains))]
+        self._rngs = [np.random.default_rng(s) for s in seed.spawn(len(domains))]
         self._domains = domains
         self._perms = [rng.permutation(d.num_samples) for rng, d in zip(self._rngs, domains)]
         self._cursors = [0] * len(domains)

@@ -39,8 +39,7 @@ from .data import (
     write_json,
 )
 from .errors import DataError, ValidationError
-from .losses import (NUM_SCALES, SCALE_STEP, KernelSpec, alpha_schedule, discrepancy_loss,
-                     mmd_squared)
+from .losses import NUM_SCALES, KernelSpec, alpha_schedule, discrepancy_loss, mmd_squared
 from .model import (
     ModelConfig,
     MsMdaModel,
@@ -59,6 +58,7 @@ from .model import (
 from .neuralcore import (
     LinearLayer,
     Parameter,
+    fan_in_uniform,
     finite_difference_check,
     leaky_relu,
     leaky_relu_backward,
@@ -332,11 +332,12 @@ def config_snapshot(config: ExperimentConfig) -> dict:
         "method": config.method,
         "scenario": config.scenario,
         "data_root": config.data_root,
-        "synth": asdict(config.synth) if config.synth else None,
+        # each seed's generator seed is derived from it: the configured one is never read
+        "synth": ({k: v for k, v in asdict(config.synth).items() if k != "rng_seed"}
+                  if config.synth else None),
         "normalization": asdict(config.norm),
         # a fold derives the other model fields from its data and seed
-        "model": {"cfe_dims": list(config.model.cfe_dims), "dsfe_dim": config.model.dsfe_dim,
-                  "leaky_slope": config.model.leaky_slope},
+        "model": {"cfe_dims": list(config.model.cfe_dims), "dsfe_dim": config.model.dsfe_dim},
         "train": asdict(config.train),
         "kernel": asdict(config.kernel),
         "seeds": list(config.seeds),
@@ -516,15 +517,14 @@ def dump_features(
     out_dir,
     samples_per_domain: int = 100,
     fold_index: int = 0,
-    log=None,
 ) -> list[str]:
     """Write each branch's feature-layer outputs for sampled rows.
 
     One CSV per branch; rows cover every source domain plus the target,
-    ``samples_per_domain`` seeded rows each (clamped, with a warning, for
-    smaller domains). Columns: domain, branch, label, then the feature
-    values. A branch whose features are not all finite (a diverged or
-    overflowing checkpoint) is a DataError raised before its file is
+    ``samples_per_domain`` seeded rows each (clamped, with a warning on
+    stderr, for smaller domains). Columns: domain, branch, label, then the
+    feature values. A branch whose features are not all finite (a diverged
+    or overflowing checkpoint) is a DataError raised before its file is
     written.
     """
     if samples_per_domain < 0:
@@ -546,11 +546,8 @@ def dump_features(
     for d in domains:
         k = samples_per_domain
         if k > d.num_samples:
-            message = (
-                f"domain {d.domain_id}: requested {k} rows but only "
-                f"{d.num_samples} available; clamping"
-            )
-            (log or (lambda m: print(m, file=sys.stderr)))(message)
+            print(f"domain {d.domain_id}: requested {k} rows but only "
+                  f"{d.num_samples} available; clamping", file=sys.stderr)
             k = d.num_samples
         idx = np.sort(rng.choice(d.num_samples, size=k, replace=False))
         sampled.append((d, idx))
@@ -648,7 +645,8 @@ def brute_force_mmd(source, target, kernel: KernelSpec) -> float:
     """Direct three-double-sum evaluation of the biased MMD estimator.
 
     Deliberately independent of mmd_squared: explicit loops over sample
-    pairs, its own median computation for the multiscale kernel.
+    pairs, its own median computation for the multiscale kernel (a pinned
+    ``median`` is not read).
     """
     s = np.asarray(source, dtype=np.float64)
     t = np.asarray(target, dtype=np.float64)
@@ -660,8 +658,6 @@ def brute_force_mmd(source, target, kernel: KernelSpec) -> float:
     else:
         if kernel.kind == "rbf_fixed":
             divisors = [2.0 * kernel.fixed_bandwidth]
-        elif kernel.bandwidths is not None:
-            divisors = list(kernel.bandwidths)
         else:
             joint = np.vstack([s, t])
             dists = []
@@ -673,7 +669,7 @@ def brute_force_mmd(source, target, kernel: KernelSpec) -> float:
             if median <= 0.0:
                 median = 1.0
             center = (NUM_SCALES - 1) / 2.0
-            divisors = [median * SCALE_STEP ** (i - center) for i in range(NUM_SCALES)]
+            divisors = [median * 2.0 ** (i - center) for i in range(NUM_SCALES)]
 
         def k(x, y):
             diff = x - y
@@ -694,7 +690,7 @@ def _grad_items() -> list[VerifyItem]:
         items.append(VerifyItem(name, report.passed, report.describe()))
 
     # linear layer + cross-entropy stack
-    layer = LinearLayer.init(4, 3, rng)
+    layer = LinearLayer(fan_in_uniform(4, 3, rng), np.zeros((1, 3)))
     x = rng.uniform(-1.0, 1.0, (6, 4))
     labels = rng.integers(0, 3, 6)
 
@@ -723,7 +719,7 @@ def _grad_items() -> list[VerifyItem]:
     tgt = Parameter(rng.uniform(-1.0, 1.0, (4, 3)))
     for kind in ("linear", "rbf_fixed", "rbf_multiscale"):
         kernel = KernelSpec(kind=kind)
-        kernel = kernel.resolve(src.value, tgt.value)  # pin median bandwidths
+        kernel = kernel.resolve(src.value, tgt.value)  # pin the median
 
         def mmd_loss(kernel=kernel):
             value, g_s, g_t = mmd_squared(src.value, tgt.value, kernel)

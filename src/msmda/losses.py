@@ -22,7 +22,6 @@ from .neuralcore import as_matrix, softmax_cross_entropy
 KERNEL_KINDS = ("rbf_multiscale", "rbf_fixed", "linear")
 # the multi-kernel MMD of DAN (Long et al., 2015): 5 bandwidths doubling around the median
 NUM_SCALES = 5
-SCALE_STEP = 2.0
 
 
 def _check_positive(name: str, value) -> None:
@@ -35,45 +34,36 @@ class KernelSpec:
     """Kernel used by the MMD estimator.
 
     ``rbf_multiscale`` averages ``NUM_SCALES`` Gaussian kernels
-    exp(-d^2 / b) whose divisors ``b`` double (``SCALE_STEP``) around the
-    median pairwise squared distance of the joint batch (resolved per call
-    unless ``bandwidths`` pins them explicitly).
+    exp(-d^2 / b) whose divisors ``b`` double around the median pairwise
+    squared distance of the joint batch, from median / 4 to 4 * median (the
+    median is resolved per call unless ``median`` pins it).
     ``rbf_fixed`` is exp(-d^2 / (2 * fixed_bandwidth)) with
     ``fixed_bandwidth`` = sigma^2. ``linear`` is the plain dot product.
     """
 
     kind: str = "rbf_multiscale"
     fixed_bandwidth: float = 1.0
-    bandwidths: tuple[float, ...] | None = None
+    median: float | None = None
 
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValidationError(f"unknown kernel kind {self.kind!r}")
         _check_positive("fixed_bandwidth", self.fixed_bandwidth)
-        if self.bandwidths is not None:
-            if len(self.bandwidths) == 0:
-                raise ValidationError("bandwidths must not be empty")
-            for b in self.bandwidths:
-                _check_positive("every bandwidth", b)
+        if self.median is not None:
+            _check_positive("median", self.median)
 
     def resolve(self, source, target) -> "KernelSpec":
-        """Pin multiscale bandwidths from the data via the median heuristic.
+        """Pin the multiscale median from the data (the median heuristic).
 
         The returned spec is constant w.r.t. its inputs, which keeps the
         analytic gradients consistent (the bandwidth is treated as a
         stop-gradient, as is standard for the median heuristic).
         """
-        if self.kind != "rbf_multiscale" or self.bandwidths is not None:
+        if self.kind != "rbf_multiscale" or self.median is not None:
             return self
         s = np.asarray(source, dtype=np.float64)
         t = np.asarray(target, dtype=np.float64)
-        median = _joint_median(*_sq_dists(s, t))
-        return replace(self, bandwidths=_spread(median))
-
-
-def _spread(base: float) -> tuple[float, ...]:
-    center = (NUM_SCALES - 1) / 2.0
-    return tuple(base * SCALE_STEP ** (i - center) for i in range(NUM_SCALES))
+        return replace(self, median=_joint_median(*_sq_dists(s, t)))
 
 
 @dataclass(frozen=True)
@@ -156,41 +146,34 @@ def _joint_median(d_ss, d_tt, d_st, work) -> float:
     return median if median > 0.0 else 1.0
 
 
-def _rbf_block(d2, a, b, divisors, coeff, grad_a, grad_b, work):
+def _rbf_block(d2, a, b, widest, scales, coeff, grad_a, grad_b, work):
     """Accumulate coeff * mean_scales sum_{i,j} exp(-|a_i - b_j|^2 / div).
 
-    ``d2`` is the precomputed squared-distance matrix for (a, b). Divisors
-    are visited widest first; when one is exactly half the one before, its
-    kernel is the previous one squared (exp(-d/b) = exp(-d/2b)^2), otherwise
-    it takes its own ``exp``. The value sums plain kernels; the gradient
+    ``d2`` is the precomputed squared-distance matrix for (a, b). The
+    ``scales`` divisors halve from ``widest``: one ``exp`` gives the widest
+    kernel and each narrower one is the one before squared
+    (exp(-d/b) = exp(-d/2b)^2). The value sums plain kernels; the gradient
     needs sum_s k_s / div_s, kept as sum_s k_s * div/div_s for the current
-    div (rescaled by div/prev, an exact 0.5 when the divisors halve), so
-    the matmuls run once per block.
+    div (halved at each step), so the matmuls run once per block.
     """
     e, grad_k = _block(work, d2.shape, 0), _block(work, d2.shape, 1)
-    value = 0.0
-    prev = None
-    for div in sorted(divisors, reverse=True):
-        if prev is not None and div * 2.0 == prev:
-            np.square(e, out=e)
-        else:
-            np.divide(d2, -div, out=e)
-            np.exp(e, out=e)
+    np.divide(d2, -widest, out=e)
+    np.exp(e, out=e)
+    np.copyto(grad_k, e)
+    value = float(e.sum())
+    for _ in range(scales - 1):
+        np.square(e, out=e)
         value += float(e.sum())
-        if prev is None:
-            np.copyto(grad_k, e)
-        else:
-            grad_k *= div / prev
-            grad_k += e
-        prev = div
-    scale = coeff * (-2.0 / len(divisors)) / prev
+        grad_k *= 0.5
+        grad_k += e
+    scale = coeff * (-2.0 / scales) / (widest * 0.5 ** (scales - 1))
     k_b = grad_k @ b
     # a symmetric block (a is b) has grad_k.T @ a == grad_k @ b; its row and
     # column sums still differ in the last bits, so both are kept
     k_a = k_b if a is b else grad_k.T @ a
     grad_a += scale * (grad_k.sum(axis=1, keepdims=True) * a - k_b)
     grad_b += scale * (grad_k.sum(axis=0)[:, None] * b - k_a)
-    return coeff * value / len(divisors)
+    return coeff * value / scales
 
 
 def mmd_squared(source, target, kernel: KernelSpec | None = None):
@@ -224,15 +207,12 @@ def mmd_squared(source, target, kernel: KernelSpec | None = None):
 
     d_ss, d_tt, d_st, work = _sq_dists(source, target)
     if kernel.kind == "rbf_fixed":
-        divisors = [2.0 * kernel.fixed_bandwidth]
-    elif kernel.bandwidths is not None:
-        divisors = list(kernel.bandwidths)
-    else:
-        divisors = list(_spread(_joint_median(d_ss, d_tt, d_st, work)))
-
-    value = _rbf_block(d_ss, source, source, divisors, 1.0 / (n * n), grad_s, grad_s, work)
-    value += _rbf_block(d_tt, target, target, divisors, 1.0 / (m * m), grad_t, grad_t, work)
-    value += _rbf_block(d_st, source, target, divisors, -2.0 / (n * m), grad_s, grad_t, work)
+        rbf = (2.0 * kernel.fixed_bandwidth, 1)
+    else:  # the widest divisor, 4 * median, and the NUM_SCALES - 1 halvings below it
+        rbf = (4.0 * (kernel.median or _joint_median(d_ss, d_tt, d_st, work)), NUM_SCALES)
+    value = _rbf_block(d_ss, source, source, *rbf, 1.0 / (n * n), grad_s, grad_s, work)
+    value += _rbf_block(d_tt, target, target, *rbf, 1.0 / (m * m), grad_t, grad_t, work)
+    value += _rbf_block(d_st, source, target, *rbf, -2.0 / (n * m), grad_s, grad_t, work)
     return max(value, 0.0), grad_s, grad_t
 
 

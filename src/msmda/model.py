@@ -41,6 +41,8 @@ from .neuralcore import (
 
 CHECKPOINT_MAGIC = b"MSMDA1"
 _HEAD_FORMAT = "<IIIIIdq"
+# the negative-side slope of every LeakyReLU; the checkpoint header records it
+LEAKY_SLOPE = 0.01
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,6 @@ class ModelConfig:
     cfe_dims: tuple[int, ...] = (256, 128, 64)
     dsfe_dim: int = 32
     num_classes: int = 3
-    leaky_slope: float = 0.01
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -65,8 +66,6 @@ class ModelConfig:
             raise ValidationError("input_dim and dsfe_dim must be >= 1")
         if not self.cfe_dims or any(d < 1 for d in self.cfe_dims):
             raise ValidationError("cfe_dims must be a nonempty tuple of positive widths")
-        if not 0.0 < self.leaky_slope < 1.0:
-            raise ValidationError("leaky_slope must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -174,7 +173,7 @@ def init_model(config: ModelConfig) -> MsMdaModel:
     """Build a model with fan-in-uniform weights from the config seed."""
     rng = np.random.default_rng(config.rng_seed)
     model = MsMdaModel(config, Parameter(np.zeros((1, arena_size(config)))))
-    for layer in model.layers:  # LinearLayer.init's draws, in order; biases stay 0
+    for layer in model.layers:  # in order; biases stay 0
         layer.weight.value[...] = fan_in_uniform(*layer.weight.shape, rng)
     return model
 
@@ -188,17 +187,16 @@ def _forward(model: MsMdaModel, x: np.ndarray, offsets=None):
     With ``offsets`` (row bounds of the stacked sources, then the target)
     branch i sees its source rows, then the target rows; else every row.
     """
-    slope = model.config.leaky_slope
     acts = [x]
     for layer in model.cfe:
-        acts.append(leaky_relu(layer.forward(acts[-1]), slope))
+        acts.append(leaky_relu(layer.forward(acts[-1]), LEAKY_SLOPE))
     h = acts[-1]
 
     def branches():
         for i, branch in enumerate(model.branches):
             rows = h if offsets is None else np.vstack(
                 [h[offsets[i]:offsets[i + 1]], h[offsets[-2]:]])
-            r = leaky_relu(branch.dsfe.forward(rows), slope)
+            r = leaky_relu(branch.dsfe.forward(rows), LEAKY_SLOPE)
             yield rows, r, branch.dsc.forward(r)
 
     return acts, branches()
@@ -245,7 +243,6 @@ def compute_losses(
             raise ValidationError(f"{name} is empty")
     sizes = [f.shape[0] for f in feats]
     offsets = np.concatenate([[0], np.cumsum(sizes)])
-    slope = model.config.leaky_slope
 
     acts, branches = _forward(model, np.vstack(feats), offsets)
     saved, logits_src, probs_tgt, mmd_values = [], [], [], []
@@ -272,14 +269,14 @@ def compute_losses(
         # mmd component is the branch mean, so each branch carries alpha/N
         g_r[:n_src] += (alpha / model.num_branches) * g_src
         g_r[n_src:] += (alpha / model.num_branches) * g_tgt
-        g_joined = branch.dsfe.backward(rows, leaky_relu_backward(g_r, r, slope))
+        g_joined = branch.dsfe.backward(rows, leaky_relu_backward(g_r, r, LEAKY_SLOPE))
         grad_q[offsets[i]:offsets[i + 1]] += g_joined[:n_src]
         grad_q[offsets[-2]:offsets[-1]] += g_joined[n_src:]
     g = grad_q
     for layer in reversed(model.cfe):
         out = acts.pop()
         # the first layer's input is the data batch: no gradient wanted there
-        g = layer.backward(acts[-1], leaky_relu_backward(g, out, slope),
+        g = layer.backward(acts[-1], leaky_relu_backward(g, out, LEAKY_SLOPE),
                            input_grad=layer is not model.cfe[0])
     return breakdown
 
@@ -334,7 +331,7 @@ def save_checkpoint(model: MsMdaModel, path) -> None:
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack(_HEAD_FORMAT, cfg.input_dim, len(cfg.cfe_dims), cfg.dsfe_dim,
-                             cfg.num_classes, cfg.num_branches, cfg.leaky_slope, cfg.rng_seed))
+                             cfg.num_classes, cfg.num_branches, LEAKY_SLOPE, cfg.rng_seed))
         fh.write(struct.pack(f"<{len(cfg.cfe_dims)}I", *cfg.cfe_dims))
         fh.write(np.ascontiguousarray(model.arena.value, dtype="<f8").tobytes())
 
@@ -366,9 +363,12 @@ def load_checkpoint(path) -> MsMdaModel:
             try:
                 config = ModelConfig(num_branches=num_branches, input_dim=input_dim,
                                      cfe_dims=cfe_dims, dsfe_dim=dsfe_dim,
-                                     num_classes=num_classes, leaky_slope=slope, rng_seed=seed)
+                                     num_classes=num_classes, rng_seed=seed)
             except ValidationError as exc:
                 raise DataError(f"{path}: bad checkpoint header: {exc}") from exc
+            if slope != LEAKY_SLOPE:
+                raise DataError(f"{path}: bad checkpoint header: "
+                                f"leaky_slope must be {LEAKY_SLOPE}, got {slope}")
             floats = arena_size(config)
             extra = file_size - offset - 8 * floats
             if extra < 0:

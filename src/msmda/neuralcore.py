@@ -88,13 +88,6 @@ class LinearLayer:
                 f"shape {self.weight.shape}; expected (1, {self.weight.shape[1]})"
             )
 
-    @classmethod
-    def init(cls, in_dim: int, out_dim: int, rng: np.random.Generator) -> "LinearLayer":
-        """Fan-in-scaled uniform weights, zero bias, drawn from ``rng``."""
-        if in_dim < 1 or out_dim < 1:
-            raise ValidationError(f"layer dims must be >= 1, got {in_dim}x{out_dim}")
-        return cls(fan_in_uniform(in_dim, out_dim, rng), np.zeros((1, out_dim)))
-
     def _input(self, x) -> np.ndarray:
         x = as_matrix(x, "layer input", require_finite=False)
         if x.shape[1] != self.weight.shape[0]:
@@ -216,30 +209,30 @@ def adam_step(param: Parameter, lr: float) -> None:
     param.zero_grad()
 
 
+# the central-difference step and the largest relative error that passes
+GRADCHECK_STEP = 1e-5
+GRADCHECK_TOLERANCE = 1e-4
+
+
 @dataclass
 class GradCheckReport:
     max_rel_error: float
     num_checked: int
-    tolerance: float
     passed: bool
     worst_at: tuple[int, int] | None  # (parameter index, flat index) of max_rel_error
 
     def describe(self) -> str:
         line = (f"{'pass' if self.passed else 'FAIL'}: max relative error "
                 f"{self.max_rel_error:.3e} over {self.num_checked} entries "
-                f"(tolerance {self.tolerance:.1e})")
+                f"(tolerance {GRADCHECK_TOLERANCE:.1e})")
         if not self.passed and self.worst_at is not None:
             line += f" at param {self.worst_at[0]} entry {self.worst_at[1]}"
         return line
 
 
-def finite_difference_check(
-    loss_fn,
-    params,
-    h: float = 1e-5,
-    tolerance: float = 1e-4,
-) -> GradCheckReport:
-    """Compare analytic gradients against central finite differences.
+def finite_difference_check(loss_fn, params) -> GradCheckReport:
+    """Compare analytic gradients against central finite differences of
+    step ``GRADCHECK_STEP``; the check passes within ``GRADCHECK_TOLERANCE``.
 
     ``loss_fn`` must return the scalar loss and, as a side effect, accumulate
     analytic gradients into each parameter's ``grad`` buffer; it must be
@@ -263,12 +256,12 @@ def finite_difference_check(
             raise StateError("parameter value is not a contiguous array")
         for j in range(flat.size):
             orig = flat[j]
-            flat[j] = orig + h
+            flat[j] = orig + GRADCHECK_STEP
             f_plus = loss_only()
-            flat[j] = orig - h
+            flat[j] = orig - GRADCHECK_STEP
             f_minus = loss_only()
             flat[j] = orig
-            numeric = (f_plus - f_minus) / (2.0 * h)
+            numeric = (f_plus - f_minus) / (2.0 * GRADCHECK_STEP)
             a = float(analytic[pi].ravel()[j])
             rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-3)
             if not (rel <= max_rel or np.isnan(max_rel)):  # the first NaN is the worst
@@ -279,7 +272,6 @@ def finite_difference_check(
     return GradCheckReport(
         max_rel_error=max_rel,
         num_checked=sum(p.value.size for p in params),
-        tolerance=tolerance,
-        passed=max_rel <= tolerance,
+        passed=max_rel <= GRADCHECK_TOLERANCE,
         worst_at=worst_at,
     )

@@ -31,8 +31,11 @@ from msmda.harness import composite_gradcheck_case, normalize_domains, prepare_t
 from msmda.losses import KernelSpec, alpha_schedule, discrepancy_loss, mmd_squared
 from msmda.model import ModelConfig, compute_losses
 from msmda.neuralcore import (
+    GRADCHECK_STEP,
+    GRADCHECK_TOLERANCE,
     LinearLayer,
     Parameter,
+    fan_in_uniform,
     finite_difference_check,
     leaky_relu,
     leaky_relu_backward,
@@ -120,12 +123,14 @@ def test_criterion_2_gradient_correctness():
     start = time.time()
     failures = []
 
+    assert (GRADCHECK_STEP, GRADCHECK_TOLERANCE) == (1e-5, 1e-4)
+
     def check(name, loss_fn, params):
-        rep = finite_difference_check(loss_fn, params, h=1e-5, tolerance=1e-4)
+        rep = finite_difference_check(loss_fn, params)
         if not rep.passed:
             failures.append(f"{name}: {rep.describe()}")
 
-    layer = LinearLayer.init(5, 4, rng)
+    layer = LinearLayer(fan_in_uniform(5, 4, rng), np.zeros((1, 4)))
     x = rng.uniform(-1, 1, (7, 5))
     labels = rng.integers(0, 4, 7)
 

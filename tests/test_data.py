@@ -770,7 +770,7 @@ class TestBatchSampler:
 
     def test_batch_shapes(self):
         task = self.make_task()
-        sampler = BatchSampler(task, batch_size=4, seed=0)
+        sampler = BatchSampler(task, batch_size=4, seed=np.random.SeedSequence(0))
         for _ in range(5):
             source_batches, target = sampler.next_batch()
             assert len(source_batches) == 2
@@ -781,7 +781,7 @@ class TestBatchSampler:
 
     def test_each_sample_once_per_pass(self):
         task = self.make_task(sizes=(12,), target_size=12)
-        sampler = BatchSampler(task, batch_size=4, seed=1)
+        sampler = BatchSampler(task, batch_size=4, seed=np.random.SeedSequence(1))
         seen = []
         for _ in range(3):  # 3 * 4 = domain size
             source_batches, _ = sampler.next_batch()
@@ -794,7 +794,7 @@ class TestBatchSampler:
 
     def test_wraparound_smaller_domain(self):
         task = self.make_task(sizes=(3,), target_size=10)
-        sampler = BatchSampler(task, batch_size=8, seed=2)
+        sampler = BatchSampler(task, batch_size=8, seed=np.random.SeedSequence(2))
         source_batches, _ = sampler.next_batch()
         feats, labels = source_batches[0]
         assert feats.shape == (8, 4)
@@ -803,8 +803,8 @@ class TestBatchSampler:
 
     def test_deterministic(self):
         task = self.make_task()
-        a = BatchSampler(task, batch_size=4, seed=3)
-        b = BatchSampler(task, batch_size=4, seed=3)
+        a = BatchSampler(task, batch_size=4, seed=np.random.SeedSequence(3))
+        b = BatchSampler(task, batch_size=4, seed=np.random.SeedSequence(3))
         for _ in range(6):
             (sa, ta), (sb, tb) = a.next_batch(), b.next_batch()
             assert_array_equal(ta, tb)
@@ -819,7 +819,7 @@ class TestBatchSampler:
 
     def test_invalid_batch_size(self):
         with pytest.raises(ValidationError):
-            BatchSampler(self.make_task(), 0, seed=0)
+            BatchSampler(self.make_task(), 0, seed=np.random.SeedSequence(0))
 
 
 class TestDatasetGrid:

@@ -39,6 +39,7 @@ from msmda.harness import (
     train_fold,
     verify,
 )
+from msmda.losses import KernelSpec
 from msmda.model import ModelConfig, TrainConfig, arena_size, load_checkpoint, predict
 from msmda.neuralcore import LinearLayer, softmax_cross_entropy
 
@@ -349,7 +350,9 @@ class TestPersistence:
         first = run_experiment(config)
         snapshot = json.loads((out / "config.json").read_text())
         # only the model fields a run reads; a fold derives the others
-        assert sorted(snapshot["model"]) == ["cfe_dims", "dsfe_dim", "leaky_slope"]
+        assert sorted(snapshot["model"]) == ["cfe_dims", "dsfe_dim"]
+        # each seed derives its own generator seed
+        assert "rng_seed" not in snapshot["synth"]
 
         rebuilt = ExperimentConfig(
             scenario=snapshot["scenario"],
@@ -359,6 +362,7 @@ class TestPersistence:
             model=ModelConfig(num_branches=1, **{**snapshot["model"],
                                                  "cfe_dims": tuple(snapshot["model"]["cfe_dims"])}),
             train=TrainConfig(**snapshot["train"]),
+            kernel=KernelSpec(**snapshot["kernel"]),
             seeds=tuple(snapshot["seeds"]),
             loso=snapshot["loso"],
             method=snapshot["method"],
@@ -791,19 +795,18 @@ class TestForkedFolds:
 
 
 class TestDumpFeatures:
-    def run_and_dump(self, tmp_path, samples=10):
+    def run_and_dump(self, tmp_path, capsys, samples=10):
+        """The config, the written paths and the lines dump_features wrote to stderr."""
         out = tmp_path / "run"
         config = small_config(out_dir=str(out))
         run_experiment(config)
         ckpt = next((out / "checkpoints").iterdir())
-        dump_dir = tmp_path / "features"
-        warnings = []
-        paths = dump_features(config, ckpt, dump_dir,
-                              samples_per_domain=samples, log=warnings.append)
-        return config, paths, warnings
+        capsys.readouterr()
+        paths = dump_features(config, ckpt, tmp_path / "features", samples_per_domain=samples)
+        return config, paths, capsys.readouterr().err.splitlines()
 
-    def test_rows_and_width(self, tmp_path):
-        config, paths, warnings = self.run_and_dump(tmp_path, samples=10)
+    def test_rows_and_width(self, tmp_path, capsys):
+        config, paths, warnings = self.run_and_dump(tmp_path, capsys, samples=10)
         assert len(paths) == 2  # one file per branch
         with open(paths[0], newline="") as fh:
             rows = list(csv.reader(fh))
@@ -813,9 +816,11 @@ class TestDumpFeatures:
         assert len(body) == 3 * 10  # (2 sources + target) x samples
         assert warnings == []
 
-    def test_clamps_with_warning(self, tmp_path):
-        _, paths, warnings = self.run_and_dump(tmp_path, samples=500)
-        assert warnings, "expected clamp warnings for oversized sample request"
+    def test_clamps_with_warning(self, tmp_path, capsys):
+        _, paths, warnings = self.run_and_dump(tmp_path, capsys, samples=500)
+        # one warning per domain: 2 sources and the target
+        assert len(warnings) == 3
+        assert all("requested 500 rows but only 90 available; clamping" in w for w in warnings)
         with open(paths[0], newline="") as fh:
             body = list(csv.reader(fh))[1:]
         assert len(body) == 3 * 90  # clamped to the domain size
@@ -827,8 +832,8 @@ class TestDumpFeatures:
         ckpt = next((out / "checkpoints").iterdir())
         a = tmp_path / "fa"
         b = tmp_path / "fb"
-        dump_features(config, ckpt, a, samples_per_domain=5, log=lambda m: None)
-        dump_features(config, ckpt, b, samples_per_domain=5, log=lambda m: None)
+        dump_features(config, ckpt, a, samples_per_domain=5)
+        dump_features(config, ckpt, b, samples_per_domain=5)
         assert (a / "branch_00.csv").read_bytes() == (b / "branch_00.csv").read_bytes()
 
     def test_one_extractor_pass_per_domain(self, tmp_path, monkeypatch):
@@ -874,7 +879,7 @@ class TestDumpFeatures:
         )
         run_experiment(config)
         ckpt = next((out / "checkpoints").iterdir())
-        paths = dump_features(config, ckpt, tmp_path / "feat", log=lambda m: None)
+        paths = dump_features(config, ckpt, tmp_path / "feat")
         assert len(paths) == 14  # one file per branch
         with open(paths[0], newline="") as fh:
             body = list(csv.reader(fh))[1:]

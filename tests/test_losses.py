@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_array_equal
 
 from msmda.errors import ShapeError, ValidationError
 from msmda.losses import (
     NUM_SCALES,
-    SCALE_STEP,
     KernelSpec,
     _joint_median,
     alpha_schedule,
@@ -28,6 +27,12 @@ from msmda.neuralcore import (
 )
 
 
+def doubling_divisors(median: float) -> list[float]:
+    """The multiscale kernel's divisors: NUM_SCALES of them doubling around ``median``."""
+    center = (NUM_SCALES - 1) / 2.0
+    return [median * 2.0 ** (i - center) for i in range(NUM_SCALES)]
+
+
 def oracle_mmd(source, target, kernel: KernelSpec) -> float:
     """Test-local brute force: explicit double sums over all sample pairs."""
     s = [np.asarray(row, dtype=float) for row in source]
@@ -39,20 +44,19 @@ def oracle_mmd(source, target, kernel: KernelSpec) -> float:
     else:
         if kernel.kind == "rbf_fixed":
             divisors = [2.0 * kernel.fixed_bandwidth]
-        elif kernel.bandwidths is not None:
-            divisors = list(kernel.bandwidths)
         else:
-            joint = s + t
-            dists = [
-                float(np.dot(joint[i] - joint[j], joint[i] - joint[j]))
-                for i in range(len(joint))
-                for j in range(i + 1, len(joint))
-            ]
-            median = float(np.median(dists)) if dists else 1.0
-            if median <= 0.0:
-                median = 1.0
-            center = (NUM_SCALES - 1) / 2.0
-            divisors = [median * SCALE_STEP ** (i - center) for i in range(NUM_SCALES)]
+            median = kernel.median
+            if median is None:
+                joint = s + t
+                dists = [
+                    float(np.dot(joint[i] - joint[j], joint[i] - joint[j]))
+                    for i in range(len(joint))
+                    for j in range(i + 1, len(joint))
+                ]
+                median = float(np.median(dists)) if dists else 1.0
+                if median <= 0.0:
+                    median = 1.0
+            divisors = doubling_divisors(median)
 
         def k(x, y):
             d2 = float(np.dot(x - y, x - y))
@@ -119,7 +123,7 @@ class TestMmdSquared:
         rng = np.random.default_rng(9)
         src = Parameter(rng.uniform(-1, 1, (6, 3)))
         tgt = Parameter(rng.uniform(-1, 1, (5, 3)) + 0.4)
-        # pin median bandwidths so the finite differences see a fixed kernel
+        # pin the median so the finite differences see a fixed kernel
         kernel = KernelSpec(kind=kind).resolve(src.value, tgt.value)
 
         def loss_fn():
@@ -146,20 +150,28 @@ class TestMmdSquared:
         s, t = rng.uniform(-1, 1, (8, 2)), rng.uniform(-1, 1, (6, 2))
         spec = KernelSpec(kind="rbf_multiscale")
         resolved = spec.resolve(s, t)
-        bands = resolved.bandwidths
-        assert len(bands) == 5
         joint = np.vstack([s, t])
         dists = [
             float(np.dot(joint[i] - joint[j], joint[i] - joint[j]))
             for i in range(len(joint)) for j in range(i + 1, len(joint))
         ]
-        assert bands[2] == pytest.approx(float(np.median(dists)), rel=1e-12)
-        ratios = [bands[i + 1] / bands[i] for i in range(4)]
-        assert_allclose(ratios, [2.0] * 4, rtol=1e-12)
+        assert resolved.median == pytest.approx(float(np.median(dists)), rel=1e-12)
+        assert resolved == KernelSpec(median=resolved.median)
 
-    def test_fixed_bandwidths_skip_resolution(self):
-        spec = KernelSpec(kind="rbf_multiscale", bandwidths=(0.5, 1.0, 2.0))
+    def test_pinned_median_skips_resolution(self):
+        spec = KernelSpec(kind="rbf_multiscale", median=0.5)
         assert spec.resolve(np.zeros((2, 2)), np.ones((2, 2))) is spec
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pinned_median_equals_unpinned_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        source, target = rng.normal(size=(40, 6)), rng.normal(size=(30, 6)) + 1.0
+        pinned = KernelSpec().resolve(source, target)
+        value, g_s, g_t = mmd_squared(source, target, KernelSpec())
+        pinned_value, pinned_s, pinned_t = mmd_squared(source, target, pinned)
+        assert pinned_value == value
+        assert_array_equal(pinned_s, g_s)
+        assert_array_equal(pinned_t, g_t)
 
     def test_invalid_kernel_spec(self):
         with pytest.raises(ValidationError):
@@ -168,15 +180,16 @@ class TestMmdSquared:
             KernelSpec(fixed_bandwidth=0.0)
 
     @pytest.mark.parametrize("fields", [
-        {"bandwidths": ()},
-        {"bandwidths": (1.0, math.nan)},
-        {"bandwidths": (math.inf, 1.0)},
         {"fixed_bandwidth": math.nan},
         {"fixed_bandwidth": math.inf},
+        {"median": 0.0},
+        {"median": -1.0},
+        {"median": math.nan},
+        {"median": math.inf},
     ], ids=repr)
     def test_degenerate_kernel_spec_rejected(self, fields):
-        # each of these used to be accepted and then gave a NaN MMD, a
-        # ZeroDivisionError or a TypeError on first use
+        # none of these is a usable bandwidth: on first use each would give a
+        # NaN, a constant kernel or a division by zero
         with pytest.raises(ValidationError):
             KernelSpec(**fields)
 
@@ -196,7 +209,7 @@ class TestMmdSquared:
         source, target = rng.uniform(-1, 1, (9, 3)), rng.uniform(-1, 1, (7, 3))
         source[2, 0] = np.nan
         resolved = KernelSpec().resolve(source, target)
-        assert resolved.bandwidths == (0.25, 0.5, 1.0, 2.0, 4.0)
+        assert resolved.median == 1.0
 
 
 def _textbook_sq_dists(a, b):
@@ -309,7 +322,8 @@ def _per_scale_exp_mmd(source, target, divisors):
 
 
 class TestMultiscaleKernel:
-    """Halving divisors reuse one exp by squaring; any other spacing does not."""
+    """The multiscale kernel's halving divisors reuse one exp by squaring; the
+    fixed kernel takes one exp."""
 
     @staticmethod
     def _batches(seed, n=40, m=30, d=6):
@@ -322,36 +336,21 @@ class TestMultiscaleKernel:
         kernel = KernelSpec()
         value, g_s, g_t = mmd_squared(source, target, kernel)
         ref_value, ref_s, ref_t = _per_scale_exp_mmd(
-            source, target, kernel.resolve(source, target).bandwidths
+            source, target, doubling_divisors(kernel.resolve(source, target).median)
         )
         assert value == pytest.approx(ref_value, rel=1e-13, abs=0.0)
         for got, ref in ((g_s, ref_s), (g_t, ref_t)):
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("kernel", [
-        KernelSpec(bandwidths=(0.3, 1.1, 2.5, 4.0)),
-        KernelSpec(kind="rbf_fixed", fixed_bandwidth=0.7),
-    ], ids=["pinned_uneven", "fixed"])
-    def test_other_spacings_take_one_exp_per_scale(self, kernel):
+    def test_fixed_kernel_takes_one_exp(self):
         source, target = self._batches(7)
-        if kernel.kind == "rbf_fixed":
-            divisors = (2.0 * kernel.fixed_bandwidth,)
-        else:
-            divisors = kernel.resolve(source, target).bandwidths
+        kernel = KernelSpec(kind="rbf_fixed", fixed_bandwidth=0.7)
         value, g_s, g_t = mmd_squared(source, target, kernel)
-        ref_value, ref_s, ref_t = _per_scale_exp_mmd(source, target, divisors)
+        ref_value, ref_s, ref_t = _per_scale_exp_mmd(
+            source, target, [2.0 * kernel.fixed_bandwidth])
         assert value == ref_value
         assert_array_equal(g_s, ref_s)
         assert_array_equal(g_t, ref_t)
-
-    def test_halving_chain_breaks_at_uneven_step(self):
-        # 4 -> 2 halves (squared), 2 -> 0.7 does not (own exp), 0.7 -> 0.35 halves
-        source, target = self._batches(8)
-        kernel = KernelSpec(bandwidths=(0.35, 0.7, 2.0, 4.0))
-        value, g_s, _ = mmd_squared(source, target, kernel)
-        ref_value, ref_s, _ = _per_scale_exp_mmd(source, target, kernel.bandwidths)
-        assert value == pytest.approx(ref_value, rel=1e-13, abs=0.0)
-        assert np.abs(g_s - ref_s).max() <= 1e-13 * np.abs(ref_s).max()
 
 
 class TestClassificationLoss:

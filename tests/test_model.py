@@ -12,6 +12,7 @@ from msmda.errors import DataError, ShapeError, ValidationError
 from msmda.losses import KernelSpec, classification_loss
 from msmda.model import (
     CHECKPOINT_MAGIC,
+    LEAKY_SLOPE,
     ModelConfig,
     TrainConfig,
     _forward,
@@ -28,6 +29,7 @@ from msmda.neuralcore import (
     LinearLayer,
     Parameter,
     adam_step,
+    fan_in_uniform,
     finite_difference_check,
     leaky_relu,
     softmax,
@@ -93,8 +95,6 @@ class TestInitModel:
             ModelConfig(num_branches=1, num_classes=1)
         with pytest.raises(ValidationError):
             ModelConfig(num_branches=1, cfe_dims=())
-        with pytest.raises(ValidationError):
-            ModelConfig(num_branches=1, leaky_slope=1.5)
 
 
 def traversal(model):
@@ -118,12 +118,12 @@ class TestArena:
     def test_init_draws_follow_layer_order(self):
         rng = np.random.default_rng(TOY.rng_seed)
         shapes = [(6, 8), (8, 6), (6, 5)] + [(5, 4), (4, 3)] * 3
-        expected = [LinearLayer.init(i, o, rng) for i, o in shapes]
+        expected = [fan_in_uniform(i, o, rng) for i, o in shapes]
         layers = traversal(init_model(TOY))
         assert len(layers) == len(expected)
         for layer, ref in zip(layers, expected):
-            assert_array_equal(layer.weight.value, ref.weight.value)
-            assert_array_equal(layer.bias.value, ref.bias.value)
+            assert_array_equal(layer.weight.value, ref)
+            assert_array_equal(layer.bias.value, np.zeros((1, ref.shape[1])))
 
     def test_train_step_makes_one_adam_call(self, monkeypatch):
         calls = []
@@ -186,7 +186,7 @@ class TestComputeLosses:
 
         # manual oracle: push each source batch through its own forward and
         # backward, one branch at a time, cross-entropy only
-        slope = reference.config.leaky_slope
+        slope = LEAKY_SLOPE
         for i, branch in enumerate(reference.branches):
             feats, labels = batches[i]
             h = feats
@@ -514,9 +514,11 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="num_branches"):
             load_checkpoint(path)
 
-    def test_bad_leaky_slope_is_data_error(self, tmp_path):
+    @pytest.mark.parametrize("slope", [5.0, 0.02, float("nan")])
+    def test_bad_leaky_slope_is_data_error(self, tmp_path, slope):
+        # the slope is a constant; its header slot must hold exactly that value
         path = tmp_path / "slope.ckpt"
-        write_checkpoint_header(path, slope=5.0)
+        write_checkpoint_header(path, slope=slope)
         with pytest.raises(DataError, match="leaky_slope"):
             load_checkpoint(path)
 
@@ -580,7 +582,7 @@ class TestTrainingBehaviour:
                 num_branches=2, input_dim=4, cfe_dims=(8, 6, 4), dsfe_dim=3,
                 num_classes=2, rng_seed=seed,
             ))
-            sampler = BatchSampler(task, batch_size=20, seed=seed)
+            sampler = BatchSampler(task, batch_size=20, seed=np.random.SeedSequence(seed))
             source_feats = np.vstack([s.features for s in task.sources])
             source_labels = np.concatenate([s.labels for s in task.sources])
             solved = False

@@ -11,6 +11,7 @@ from msmda.neuralcore import (
     LinearLayer,
     Parameter,
     adam_step,
+    fan_in_uniform,
     finite_difference_check,
     leaky_relu,
     leaky_relu_backward,
@@ -38,7 +39,7 @@ class TestLinearForward:
 
     def test_shape_contract(self):
         rng = np.random.default_rng(0)
-        layer = LinearLayer.init(3, 7, rng)
+        layer = LinearLayer(fan_in_uniform(3, 7, rng), np.zeros((1, 7)))
         out = layer.forward(rng.uniform(-1, 1, (4, 3)))
         assert out.shape == (4, 7)
 
@@ -57,7 +58,7 @@ class TestLinearForward:
 class TestLinearBackward:
     def test_zero_grad_out(self):
         rng = np.random.default_rng(1)
-        layer = LinearLayer.init(3, 2, rng)
+        layer = LinearLayer(fan_in_uniform(3, 2, rng), np.zeros((1, 2)))
         grad_in = layer.backward(rng.uniform(-1, 1, (5, 3)), np.zeros((5, 2)))
         assert_array_equal(grad_in, np.zeros((5, 3)))
         assert_array_equal(layer.weight.grad, np.zeros((3, 2)))
@@ -83,7 +84,7 @@ class TestLinearBackward:
 
     def test_grad_shapes_round_trip(self):
         rng = np.random.default_rng(2)
-        layer = LinearLayer.init(6, 4, rng)
+        layer = LinearLayer(fan_in_uniform(6, 4, rng), np.zeros((1, 4)))
         x = rng.uniform(-1, 1, (9, 6))
         grad_in = layer.backward(x, rng.uniform(-1, 1, (9, 4)))
         assert grad_in.shape == x.shape
@@ -98,7 +99,7 @@ class TestLinearBackward:
 
     def test_without_input_grad_returns_none_and_same_param_grads(self):
         rng = np.random.default_rng(5)
-        full = LinearLayer.init(7, 4, rng)
+        full = LinearLayer(fan_in_uniform(7, 4, rng), np.zeros((1, 4)))
         skip = LinearLayer(full.weight.value.copy(), full.bias.value.copy())
         x, g = rng.normal(size=(11, 7)), rng.normal(size=(11, 4))
         for _ in range(2):  # accumulation too
@@ -109,7 +110,7 @@ class TestLinearBackward:
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(3)
-        layer = LinearLayer.init(4, 3, rng)
+        layer = LinearLayer(fan_in_uniform(4, 3, rng), np.zeros((1, 3)))
         x = rng.uniform(-1, 1, (6, 4))
         labels = rng.integers(0, 3, 6)
 
@@ -368,7 +369,7 @@ class TestFiniteDifferenceCheck:
 
     def test_checks_every_entry_of_every_parameter(self):
         rng = np.random.default_rng(8)
-        layer = LinearLayer.init(4, 3, rng)
+        layer = LinearLayer(fan_in_uniform(4, 3, rng), np.zeros((1, 3)))
         x = rng.uniform(-1, 1, (5, 4))
         labels = rng.integers(0, 3, 5)
 
