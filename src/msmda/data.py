@@ -314,8 +314,6 @@ def synthetic_task(domains: list[DomainDataset]) -> TransferTask:
 
 def iterations_per_epoch(task: TransferTask, batch_size: int) -> int:
     """ceil(max source-domain size / batch_size)."""
-    if batch_size < 1:
-        raise ValidationError("batch_size must be >= 1")
     return math.ceil(max(s.num_samples for s in task.sources) / batch_size)
 
 
@@ -329,8 +327,6 @@ class BatchSampler:
     """
 
     def __init__(self, task: TransferTask, batch_size: int, seed: np.random.SeedSequence):
-        if batch_size < 1:
-            raise ValidationError("batch_size must be >= 1")
         self.task = task
         self.batch_size = batch_size
         domains = list(task.sources) + [task.target]

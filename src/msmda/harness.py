@@ -416,9 +416,9 @@ def process_bytes(config: ExperimentConfig, task: TransferTask) -> int:
     model = replace(config.model, num_branches=branches, input_dim=dim,
                     num_classes=task.target.num_classes)
     rows = max(config.train.batch_size * (branches + 1), task.target.num_samples)
-    # a step holds the sampler's batches and their stacked copy, one output per layer
-    # and, in the backward, a gradient, its mask and their product at the widest one;
-    # malloc keeps freed heap, and a paper-shape process holds about 1.4x that: count 2x
+    # per row, the sampler's batches and the model's step buffers (the stacked input,
+    # one output per layer, a gradient at the widest) and room for two temporaries
+    # there, counted twice: that covers the ~200 MiB a paper-shape worker adds
     per_row = 2 * dim + sum(model.cfe_dims) + 3 * max(model.cfe_dims)
     return domains + 4 * 8 * arena_size(model) + 2 * 8 * rows * per_row
 

@@ -156,9 +156,10 @@ class MsMdaModel:
         self.cfe = self.layers[:n_cfe]
         self.branches = [Branch(*self.layers[k:k + 2])
                          for k in range(n_cfe, len(self.layers), 2)]
+        self.step_buffers = None  # see _step_buffers
 
     def __reduce__(self):
-        # a copy rebuilds its layers over its own copy of the arena
+        # a copy rebuilds its layers over its own copy of the arena, with no step buffers
         return MsMdaModel, (self.config, self.arena)
 
     def parameters(self) -> list[Parameter]:
@@ -178,18 +179,36 @@ def init_model(config: ModelConfig) -> MsMdaModel:
     return model
 
 
-def _forward(model: MsMdaModel, x: np.ndarray, offsets=None):
+def _step_buffers(model: MsMdaModel, rows: int):
+    """The stacked input, each extractor layer's output (its backward writes the
+    masked gradient over it) and the gradient at each output, views of one buffer
+    as each is dead once the next is formed; made for a step of ``rows`` stacked
+    rows and kept while the count holds, so steps refault no pages for them."""
+    held = model.step_buffers
+    if held is None or held[0].shape[0] != rows:
+        dims = model.config.cfe_dims
+        flat = np.empty(rows * max(dims))
+        held = model.step_buffers = (
+            np.empty((rows, model.config.input_dim)),
+            [np.empty((rows, d)) for d in dims],
+            [flat[:rows * d].reshape(rows, d) for d in dims],
+        )
+    return held
+
+
+def _forward(model: MsMdaModel, x: np.ndarray, offsets=None, outs=None):
     """The extractor's activations (``x``, then each layer's LeakyReLU output,
-    which is also its backward's mask), plus a lazy iterator of each branch's
-    (rows, features, logits), so only one branch is held at a time; ``rows``
-    is what the branch's feature layer saw.
+    which is also its backward's mask, written into ``outs`` when given), plus
+    a lazy iterator of each branch's (rows, features, logits), so only one
+    branch is held at a time; ``rows`` is what the branch's feature layer saw.
 
     With ``offsets`` (row bounds of the stacked sources, then the target)
     branch i sees its source rows, then the target rows; else every row.
     """
     acts = [x]
-    for layer in model.cfe:
-        acts.append(leaky_relu(layer.forward(acts[-1]), LEAKY_SLOPE))
+    for layer, out in zip(model.cfe, outs or [None] * len(model.cfe)):
+        z = layer.forward(acts[-1], out=out)
+        acts.append(leaky_relu(z, LEAKY_SLOPE, out=z))
     h = acts[-1]
 
     def branches():
@@ -244,7 +263,8 @@ def compute_losses(
     sizes = [f.shape[0] for f in feats]
     offsets = np.concatenate([[0], np.cumsum(sizes)])
 
-    acts, branches = _forward(model, np.vstack(feats), offsets)
+    x, outs, grads = _step_buffers(model, int(offsets[-1]))
+    acts, branches = _forward(model, np.concatenate(feats, out=x), offsets, outs)
     saved, logits_src, probs_tgt, mmd_values = [], [], [], []
     for (rows, r, logits), n_src in zip(branches, sizes):
         value, g_src, g_tgt = mmd_squared(r[:n_src], r[n_src:], kernel)
@@ -259,8 +279,9 @@ def compute_losses(
     if not math.isfinite(breakdown.total):
         return breakdown  # diverged run: report the damage, run no backward
 
-    grad_q = np.zeros_like(acts[-1])
-    # release each activation once consumed: a lower peak leaves fewer pages to refault
+    grad_q = grads[-1]
+    grad_q.fill(0.0)
+    # release each branch's activations once consumed, for a lower peak
     for i, (branch, n_src) in enumerate(zip(model.branches, sizes)):
         rows, r, g_src, g_tgt = saved[i]
         saved[i] = None
@@ -273,11 +294,12 @@ def compute_losses(
         grad_q[offsets[i]:offsets[i + 1]] += g_joined[:n_src]
         grad_q[offsets[-2]:offsets[-1]] += g_joined[n_src:]
     g = grad_q
-    for layer in reversed(model.cfe):
+    # the first layer's input is the data batch: no gradient wanted there
+    for layer, grad_in in zip(reversed(model.cfe), reversed([None] + grads[:-1])):
         out = acts.pop()
-        # the first layer's input is the data batch: no gradient wanted there
-        g = layer.backward(acts[-1], leaky_relu_backward(g, out, LEAKY_SLOPE),
-                           input_grad=layer is not model.cfe[0])
+        # the masked gradient overwrites the layer's output, which nothing reads after it
+        g = layer.backward(acts[-1], leaky_relu_backward(g, out, LEAKY_SLOPE, out=out),
+                           input_grad=grad_in is not None, out=grad_in)
     return breakdown
 
 

@@ -97,13 +97,17 @@ class LinearLayer:
             )
         return x
 
-    def forward(self, x) -> np.ndarray:
-        return self._input(x) @ self.weight.value + self.bias.value
+    def forward(self, x, out=None) -> np.ndarray:
+        """``x @ weight + bias``, written into ``out`` when given."""
+        y = np.matmul(self._input(x), self.weight.value, out=out)
+        y += self.bias.value
+        return y
 
-    def backward(self, x, grad_out, input_grad: bool = True) -> np.ndarray | None:
+    def backward(self, x, grad_out, input_grad: bool = True, out=None) -> np.ndarray | None:
         """Accumulate the weight and bias gradients at forward input ``x``;
-        return the gradient with respect to ``x``, or None without
-        ``input_grad`` (a first layer, whose input is the data)."""
+        return the gradient with respect to ``x``, written into ``out`` when
+        given, or None without ``input_grad`` (a first layer, whose input is
+        the data)."""
         x = self._input(x)
         grad_out = as_matrix(grad_out, "grad_out", require_finite=False)
         expected = (x.shape[0], self.weight.shape[1])
@@ -114,14 +118,15 @@ class LinearLayer:
             )
         self.weight.grad += x.T @ grad_out
         self.bias.grad += grad_out.sum(axis=0, keepdims=True)
-        return grad_out @ self.weight.value.T if input_grad else None
+        return np.matmul(grad_out, self.weight.value.T, out=out) if input_grad else None
 
     def parameters(self) -> list[Parameter]:
         return [self.weight, self.bias]
 
 
-def leaky_relu(x, slope: float) -> np.ndarray:
-    """Elementwise x if x > 0 else slope * x.
+def leaky_relu(x, slope: float, out=None) -> np.ndarray:
+    """Elementwise x if x > 0 else slope * x, written into ``out`` when given
+    (which may be ``x`` itself).
 
     Computed as max(x, slope * x): for slope in (0, 1) that picks the same
     value bit for bit, +-0.0, NaN and infinities included, with no mask.
@@ -129,17 +134,22 @@ def leaky_relu(x, slope: float) -> np.ndarray:
     if not 0.0 < slope < 1.0:
         raise ValidationError(f"leaky slope must be in (0, 1), got {slope}")
     x = np.asarray(x, dtype=np.float64)
-    return np.maximum(x, slope * x)
+    return np.maximum(x, slope * x, out=out)
 
 
-def leaky_relu_backward(grad_out, forward_input, slope: float) -> np.ndarray:
+def leaky_relu_backward(grad_out, forward_input, slope: float, out=None) -> np.ndarray:
     """Chain-rule factor from the forward input's sign; derivative at 0 is slope.
     The forward output has its input's sign, so it may be passed in place of
-    the input: the result is the same bit for bit."""
+    the input: the result is the same bit for bit. The factor max(input > 0,
+    slope) is exactly 1.0 or ``slope``, so no element branches. The result goes
+    into ``out`` when given, which may be ``forward_input`` but not ``grad_out``.
+    """
     if not 0.0 < slope < 1.0:
         raise ValidationError(f"leaky slope must be in (0, 1), got {slope}")
-    forward_input = np.asarray(forward_input, dtype=np.float64)
-    return np.asarray(grad_out, dtype=np.float64) * np.where(forward_input > 0.0, 1.0, slope)
+    positive = np.asarray(forward_input, dtype=np.float64) > 0.0
+    factor = np.maximum(positive, slope, out=out)
+    factor *= grad_out
+    return factor
 
 
 def softmax(logits) -> np.ndarray:
@@ -195,17 +205,26 @@ ADAM_EPS = 1e-8
 
 
 def adam_step(param: Parameter, lr: float) -> None:
-    """One bias-corrected Adam update in place; zeroes the gradient after."""
+    """One bias-corrected Adam update in place; zeroes the gradient after. The
+    textbook expressions run in their order, through one temporary and ``grad``."""
     param.step_count += 1
     t = param.step_count
-    g = param.grad
-    param.adam_m *= ADAM_BETA1
-    param.adam_m += (1.0 - ADAM_BETA1) * g
-    param.adam_v *= ADAM_BETA2
-    param.adam_v += (1.0 - ADAM_BETA2) * g * g
-    m_hat = param.adam_m / (1.0 - ADAM_BETA1**t)
-    v_hat = param.adam_v / (1.0 - ADAM_BETA2**t)
-    param.value -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    g, m, v = param.grad, param.adam_m, param.adam_v
+    m *= ADAM_BETA1
+    scratch = np.multiply(g, 1.0 - ADAM_BETA1)
+    m += scratch
+    v *= ADAM_BETA2
+    np.multiply(g, 1.0 - ADAM_BETA2, out=scratch)
+    scratch *= g
+    v += scratch
+    # lr * m_hat / (sqrt(v_hat) + eps), with m_hat = m / (1 - b1^t), v_hat = v / (1 - b2^t)
+    np.divide(v, 1.0 - ADAM_BETA2**t, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += ADAM_EPS
+    np.divide(m, 1.0 - ADAM_BETA1**t, out=g)
+    g *= lr
+    g /= scratch
+    param.value -= g
     param.zero_grad()
 
 

@@ -42,6 +42,7 @@ from msmda.data import (
 )
 from msmda.errors import DataError, ParseError, ValidationError
 from msmda.harness import normalize_domains, prepare_task
+from msmda.model import TrainConfig
 
 
 def small_domain(rng, rows=6, dim=4, num_classes=2, domain_id=(1, 1)):
@@ -818,8 +819,10 @@ class TestBatchSampler:
         assert iterations_per_epoch(task, 12) == 1
 
     def test_invalid_batch_size(self):
-        with pytest.raises(ValidationError):
-            BatchSampler(self.make_task(), 0, seed=np.random.SeedSequence(0))
+        # the sampler trusts its batch size: the training config rejects one below 1
+        for size in (0, -3):
+            with pytest.raises(ValidationError, match="batch_size"):
+                TrainConfig(batch_size=size)
 
 
 class TestDatasetGrid:

@@ -845,7 +845,7 @@ class TestDumpFeatures:
         calls = []
         forward = LinearLayer.forward
         monkeypatch.setattr(LinearLayer, "forward",
-                            lambda layer, x: calls.append(1) or forward(layer, x))
+                            lambda layer, x, out=None: calls.append(1) or forward(layer, x, out))
         paths = dump_features(config, ckpt, tmp_path / "feat", samples_per_domain=5)
         assert len(paths) == 3
         # per domain: 3 extractor layers, then 2 layers in each of 3 branches

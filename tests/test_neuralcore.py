@@ -55,6 +55,17 @@ class TestLinearForward:
         assert_array_equal(out, np.tile([1.0, -2.0], (3, 1)))
 
 
+    def test_out_destination_gives_the_same_bytes(self):
+        rng = np.random.default_rng(10)
+        layer = make_layer(rng.normal(size=(5, 4)), rng.normal(size=(1, 4)))
+        x, g = rng.normal(size=(7, 5)), rng.normal(size=(7, 4))
+        out, grad_in = np.empty((7, 4)), np.empty((7, 5))
+        assert layer.forward(x, out=out) is out
+        assert out.tobytes() == (x @ layer.weight.value + layer.bias.value).tobytes()
+        assert layer.backward(x, g, out=grad_in) is grad_in
+        assert grad_in.tobytes() == (g @ layer.weight.value.T).tobytes()
+
+
 class TestLinearBackward:
     def test_zero_grad_out(self):
         rng = np.random.default_rng(1)
@@ -170,6 +181,27 @@ class TestLeakyRelu:
             from_output = leaky_relu_backward(g, leaky_relu(z, slope), slope)
             from_input = leaky_relu_backward(g, z, slope)
         assert from_output.tobytes() == from_input.tobytes()
+
+    @pytest.mark.parametrize("slope", [0.01, 0.3, 0.7, 0.999])
+    def test_backward_bytes_equal_the_where_form(self, slope):
+        # the factor max(z > 0, slope) has no branch; every pairing of special
+        # forward values and gradients must give the where form's bytes
+        special = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                            2.2250738585072014e-308, -1e-310, 1.0, -1.0, 1e308, -1e308])
+        rng = np.random.default_rng(8)
+        pairs = [
+            np.broadcast_arrays(special[:, None], special[None, :]),
+            (rng.normal(size=(64, 33)), rng.normal(size=(64, 33))),
+            tuple(rng.integers(0, 2**64, (2, 64, 33), dtype=np.uint64).view(np.float64)),
+        ]
+        with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+            for z, g in pairs:
+                z, g = np.ascontiguousarray(z), np.ascontiguousarray(g)
+                expected = (g * np.where(z > 0.0, 1.0, slope)).tobytes()
+                assert leaky_relu_backward(g, z, slope).tobytes() == expected
+                into = z.copy()  # the step writes the result over the forward output
+                assert leaky_relu_backward(g, into, slope, out=into) is into
+                assert into.tobytes() == expected
 
     def test_invalid_slope(self):
         for slope in (0.0, 1.0, -0.5, 2.0):
@@ -306,6 +338,28 @@ class TestAdamStep:
         assert_array_equal(a.value, b.value)
         assert_array_equal(a.adam_m, b.adam_m)
         assert_array_equal(a.adam_v, b.adam_v)
+
+    def test_bytes_equal_the_textbook_expression(self):
+        # the in-place update must keep the textbook expressions' order, bit for bit
+        def textbook(value, m, v, g, t, lr):
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * g * g
+            m_hat = m / (1.0 - 0.9**t)
+            v_hat = v / (1.0 - 0.999**t)
+            return value - lr * m_hat / (np.sqrt(v_hat) + 1e-8), m, v
+
+        rng = np.random.default_rng(9)
+        p = Parameter(rng.normal(size=(1, 1001)))
+        value, m, v = p.value.copy(), np.zeros_like(p.value), np.zeros_like(p.value)
+        for t, scale in enumerate([1.0, 0.0, 1e-3, 0.0, 50.0], start=1):
+            g = scale * rng.normal(size=p.shape)
+            p.grad += g
+            adam_step(p, lr=0.03)
+            value, m, v = textbook(value, m, v, g, t, 0.03)
+            assert p.value.tobytes() == value.tobytes()
+            assert p.adam_m.tobytes() == m.tobytes()
+            assert p.adam_v.tobytes() == v.tobytes()
+            assert not p.grad.any()
 
     def test_descends_on_quadratic(self):
         p = Parameter(np.array([[5.0]]))
