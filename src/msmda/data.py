@@ -486,10 +486,30 @@ def _load_cell(path, cell, num_classes) -> DomainDataset:
     return load_domain_csv(path, domain_id=(k, j), num_classes=num_classes)
 
 
+def start_child(proc, procs: list) -> None:
+    """Start ``proc`` and add it to ``procs`` with SIGINT held back: a Ctrl-C
+    in between is raised after both, neither lost in the fork's after-fork
+    callbacks nor leaving a child that its parent does not stop. The child
+    starts with SIGINT blocked; its target calls ``ignore_sigint`` first."""
+    held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        proc.start()
+        procs.append(proc)
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)
+
+
+def ignore_sigint() -> None:
+    """In a child of ``start_child``: ignore SIGINT, as the parent stops its
+    children, then unblock it."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+
+
 def _run_stripe(conn, fn, jobs) -> None:
     """Worker: send ``fn(job)`` of each job down ``conn``, or the first
     exception and stop."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops its workers
+    ignore_sigint()
     for job in jobs:
         try:
             result = fn(job)
@@ -530,10 +550,8 @@ def forked_stripes(fn, stripes, died):
     try:
         for stripe in stripes:
             reader, writer = context.Pipe(duplex=False)
-            proc = context.Process(target=_run_stripe, args=(writer, fn, stripe))
-            proc.start()
-            procs.append(proc)
             conns.append(reader)
+            start_child(context.Process(target=_run_stripe, args=(writer, fn, stripe)), procs)
             writer.close()  # the worker's copy is then the only one: its exit reads as EOF
         yield results()
     finally:

@@ -13,8 +13,10 @@ from __future__ import annotations
 import contextlib
 import csv
 import math
+import multiprocessing
 import os
 import re
+import socket
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -29,12 +31,14 @@ from .data import (
     check_seed,
     forked_stripes,
     generate_synthetic,
+    ignore_sigint,
     iterations_per_epoch,
     load_dataset_grid,
     make_folds,
     merge_domains,
     normalize,
     normalize_matrix,
+    start_child,
     synthetic_task,
     write_json,
 )
@@ -53,6 +57,8 @@ from .model import (
     loss_weights,
     predict,
     save_checkpoint,
+    serve_lane,
+    step_buffers,
     train_step,
 )
 from .neuralcore import (
@@ -75,6 +81,10 @@ _STREAM_DATA = 0
 _STREAM_MODEL = 1
 _STREAM_SAMPLER = 2
 _STREAM_DUMP = 3
+
+# The CPU sets of the fold this process trains, its own and then one per
+# branch lane: run_experiment sets them around each fold (see fold_processes).
+_FOLD_CPUS: list[set[int]] = []
 
 @dataclass
 class ExperimentConfig:
@@ -194,6 +204,59 @@ def _accuracy(pred: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(pred == labels))
 
 
+def _lane(model, sock, branches, kernel, cpus, ends) -> None:
+    """A forked branch lane: pinned to ``cpus`` where they exist, it serves
+    ``branches`` of the fold's steps on ``sock`` until the fold's process is
+    gone (see ``serve_lane``)."""
+    ignore_sigint()
+    for end in ends:  # the fold process's ends: its exit then reads as EOF here
+        end.close()
+    with contextlib.suppress(OSError):  # a CPU this host does not have: unpinned
+        os.sched_setaffinity(0, cpus)
+    with contextlib.suppress(OSError):  # the fold's process is gone
+        serve_lane(model, sock, branches, kernel)
+
+
+@contextlib.contextmanager
+def branch_lanes(model: MsMdaModel, sizes, kernel: KernelSpec, cpus, died):
+    """With k CPU sets in ``cpus``, pin this process to the first and fork k - 1
+    branch lanes, lane j pinned to set j, for ``model``'s steps of batch
+    ``sizes``: lane j runs branches j, j + k, ... of each step. A set this
+    host does not have pins nothing. A lane that is gone raises
+    ``died(exitcode)``; every lane is stopped, and this process unpinned, when
+    the block ends. With one set or none nothing is pinned or forked."""
+    if len(cpus) < 2:
+        yield
+        return
+    buf = step_buffers(model, sizes, shared=True)
+    context = multiprocessing.get_context("fork")
+    k, procs, usable = len(cpus), [], os.sched_getaffinity(0)
+    try:
+        for j, lane_cpus in enumerate(cpus[1:], start=1):
+            ours, theirs = socket.socketpair()
+            buf.lanes.append(ours)
+            start_child(context.Process(target=_lane, args=(
+                model, theirs, range(j, model.num_branches, k), kernel, lane_cpus, buf.lanes)),
+                procs)
+            theirs.close()
+        # pinned too: unpinned, a task the lane wakes lands on the lane's CPU
+        with contextlib.suppress(OSError):
+            os.sched_setaffinity(0, cpus[0])
+        yield
+    except EOFError as exc:
+        procs[exc.args[0]].join()
+        raise died(procs[exc.args[0]].exitcode) from None
+    finally:
+        for sock in buf.lanes:
+            sock.close()
+        buf.lanes.clear()
+        for proc in procs:
+            proc.terminate()
+            proc.join()
+        with contextlib.suppress(OSError):
+            os.sched_setaffinity(0, usable)
+
+
 def train_fold(
     task: TransferTask,
     config: ExperimentConfig,
@@ -203,7 +266,8 @@ def train_fold(
     """Train one fold and evaluate the target after every epoch.
 
     Returns one ``ok`` row per epoch; a non-finite loss ends the fold with a
-    ``diverged`` row for that epoch.
+    ``diverged`` row for that epoch. The steps run on branch lanes when
+    ``run_experiment`` gives this process more than one CPU set.
     """
     prepared = prepare_task(task, config.norm, config.method)
     train = config.train
@@ -214,16 +278,20 @@ def train_fold(
         num_classes=prepared.target.num_classes,
         rng_seed=_derived_seed(seed, fold_index, _STREAM_MODEL),
     )
-    model = init_model(model_cfg)
+    cpus = _FOLD_CPUS[:prepared.num_sources]
+    model = init_model(model_cfg, shared=len(cpus) > 1)
     sampler = BatchSampler(
         prepared, train.batch_size,
         np.random.SeedSequence([seed, fold_index, _STREAM_SAMPLER, train.rng_seed]),
     )
     iters = train.iterations_per_epoch or iterations_per_epoch(prepared, train.batch_size)
+    sizes = (train.batch_size,) * (prepared.num_sources + 1)  # what every step samples
 
     records: list[MetricsRecord] = []
     # a diverging fold overflows on purpose; its diverged row is the report
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"), branch_lanes(
+            model, sizes, config.kernel, cpus, lambda code: DataError(
+                f"fold {task.fold_id} (seed {seed}): its branch lane exited with code {code}")):
         for epoch in range(train.epochs):
             w_mmd, w_disc = loss_weights(train, epoch)
             sums = np.zeros(4)
@@ -401,11 +469,12 @@ def available_memory(proc: str = "/proc", cgroups: str = "/sys/fs/cgroup") -> fl
     return min(readings, default=math.inf)
 
 
-def process_bytes(config: ExperimentConfig, task: TransferTask) -> int:
-    """Estimated bytes one more fold process adds, from a built ``task``'s
-    shapes: the domains it makes (a synthetic seed's, the baseline's merged
-    sources; a grid is built before the fork and shared), its arena with
-    gradient and Adam moments, and a step's or evaluation's activations."""
+def process_bytes(config: ExperimentConfig, task: TransferTask, lanes: int = 1) -> int:
+    """Estimated bytes one more fold process adds, with its steps on ``lanes``
+    processes, from a built ``task``'s shapes: the domains it makes (a
+    synthetic seed's, the baseline's merged sources; a grid is built before
+    the fork and shared), its arena with gradient and Adam moments, a step's
+    or evaluation's activations, and what each further lane adds."""
     dim, row = task.target.feature_dim, 8 * (task.target.feature_dim + 1)
     source_rows = sum(s.num_samples for s in task.sources)
     domains = 0 if config.data_root else row * (source_rows + task.target.num_samples)
@@ -420,21 +489,46 @@ def process_bytes(config: ExperimentConfig, task: TransferTask) -> int:
     # one output per layer, a gradient at the widest) and room for two temporaries
     # there, counted twice: that covers the ~200 MiB a paper-shape worker adds
     per_row = 2 * dim + sum(model.cfe_dims) + 3 * max(model.cfe_dims)
-    return domains + 4 * 8 * arena_size(model) + 2 * 8 * rows * per_row
+    # a further lane: the interpreter's pages it writes (about 5 MiB) and, counted
+    # twice, its branches' saved arrays and one MMD's distance blocks; 18.7 MiB
+    # at paper shape, where a lane added 16-20 MiB to the tree's summed PSS
+    b = config.train.batch_size
+    lane = 5 * 2**20 + 2 * 8 * (-(-branches // lanes) * 2 * b * (model.cfe_dims[-1]
+                                                                + 3 * model.dsfe_dim) + 5 * b * b)
+    return domains + 4 * 8 * arena_size(model) + 2 * 8 * rows * per_row + (lanes - 1) * lane
+
+
+def fold_processes(config: ExperimentConfig, task: TransferTask, jobs: int) -> list[list[set]]:
+    """For each of the ``n`` processes a sweep of ``jobs`` folds like ``task``
+    trains on, k CPU sets: its own and those of its k - 1 branch lanes.
+
+    A slot is as many usable CPUs as a process runs BLAS threads. ``n`` is
+    the slots, at most ``jobs`` and at most as many as ``available_memory``
+    holds by ``process_bytes``, but at least one. ``k`` is the slots over
+    ``n``, at most the branch count, and at most as many as memory holds for
+    ``n`` processes; process w takes slots w * k to w * k + k - 1.
+    """
+    usable = sorted(os.sched_getaffinity(0))
+    threads = blas_threads(len(usable))
+    slots, memory = len(usable) // threads, available_memory()
+    n = max(1, int(min(jobs, slots, memory // process_bytes(config, task))))
+    k = max(1, min(slots // n, 1 if config.method == "source_combine" else task.num_sources))
+    while k > 1 and n * process_bytes(config, task, k) > memory:
+        k -= 1
+    return [[set(usable[s * threads:(s + 1) * threads]) for s in range(w * k, (w + 1) * k)]
+            for w in range(n)]
 
 
 def run_experiment(config: ExperimentConfig, log=None) -> dict:
     """Full sweep over seeds and folds; returns the summary ``summary.json`` holds.
 
-    The jobs, ``(seed, fold_index)`` in (seed, fold) order, run on ``n``
-    processes: the usable CPUs divided by the BLAS threads of each, at most
-    one per job, and at most as many as ``available_memory`` holds by
-    ``process_bytes``, but at least one. This process trains jobs ``0, n,
-    2n, ...`` and forked workers the other stripes; a worker sends each
-    fold's rows and its model's config and arena values. Each fold is
-    persisted and logged here in job order, so the outputs are those of a
-    serial run, and the first failure in that order is raised before any
-    later fold is persisted.
+    The jobs, ``(seed, fold_index)`` in (seed, fold) order, run on the ``n``
+    processes of ``fold_processes``. This process trains jobs ``0, n, 2n,
+    ...`` and forked workers the other stripes; a worker sends each fold's
+    rows and its model's config and arena values. Each fold is persisted and
+    logged here in job order, so the outputs are those of a serial run, and
+    the first failure in that order is raised before any later fold is
+    persisted.
     """
     # File folds do not depend on the seed, so the grid is parsed and
     # normalized once, before any fork, and every seed shares it: sampling
@@ -445,6 +539,8 @@ def run_experiment(config: ExperimentConfig, log=None) -> dict:
     jobs = [(seed, i) for seed in config.seeds for i in range(len(fold_ids))]
     if config.out_dir:
         write_outputs(config)
+    cpus = fold_processes(config, held[1][0], len(jobs))
+    n = len(cpus)
 
     def run(job):
         seed, fold_index = job
@@ -452,12 +548,15 @@ def run_experiment(config: ExperimentConfig, log=None) -> dict:
             held[1] = None  # free the last seed's domains before building these
             held[:] = seed, build_tasks(config, seed)
         task = held[1][fold_index]
+        _FOLD_CPUS[:] = cpus[jobs.index(job) % n]
         try:
             return train_fold(task, config, seed, fold_index)
         except DataError:
             raise
         except ValidationError as exc:
             raise ValidationError(f"fold {task.fold_id} (seed {seed}): {exc}") from exc
+        finally:
+            _FOLD_CPUS.clear()
 
     def run_in_worker(job):
         # the checkpoint needs only the values: not the gradient, nor the Adam moments
@@ -469,9 +568,6 @@ def run_experiment(config: ExperimentConfig, log=None) -> dict:
         return DataError(f"fold {fold_ids[fold_index]} (seed {seed}): "
                          f"its worker exited with code {code}")
 
-    cpus = len(os.sched_getaffinity(0))
-    fits = available_memory() // process_bytes(config, held[1][0])
-    n = max(1, int(min(len(jobs), cpus // blas_threads(cpus), fits)))
     records: list[MetricsRecord] = []
     with forked_stripes(run_in_worker, [jobs[w::n] for w in range(1, n)], died) as received:
         for i, job in enumerate(jobs):
@@ -630,11 +726,10 @@ def composite_gradcheck_case():
     target = rng.uniform(-1.0, 1.0, (rows, 6))
 
     acts, branches = _forward(model, np.vstack([b[0] for b in batches] + [target]))
-    branches = list(branches)
     pres = ([layer.forward(h) for layer, h in zip(model.cfe, acts)]
-            + [b.dsfe.forward(h) for b, (h, _, _) in zip(model.branches, branches)])
+            + [b.dsfe.forward(acts[-1]) for b in model.branches])
     margin = min(float(np.abs(z).min()) for z in pres)
-    probs = [softmax(logits[3 * rows:]) for _, _, logits in branches]
+    probs = [softmax(logits[3 * rows:]) for _, logits in branches]
     for i in range(len(probs)):
         for j in range(i + 1, len(probs)):
             margin = min(margin, float(np.abs(probs[i] - probs[j]).min()))

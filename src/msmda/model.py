@@ -11,6 +11,7 @@ Inference averages the branch softmax outputs.
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import struct
 from dataclasses import dataclass
@@ -156,7 +157,7 @@ class MsMdaModel:
         self.cfe = self.layers[:n_cfe]
         self.branches = [Branch(*self.layers[k:k + 2])
                          for k in range(n_cfe, len(self.layers), 2)]
-        self.step_buffers = None  # see _step_buffers
+        self.step_buffers = None  # see step_buffers
 
     def __reduce__(self):
         # a copy rebuilds its layers over its own copy of the arena, with no step buffers
@@ -170,55 +171,148 @@ class MsMdaModel:
         return self.config.num_branches
 
 
-def init_model(config: ModelConfig) -> MsMdaModel:
-    """Build a model with fan-in-uniform weights from the config seed."""
+def init_model(config: ModelConfig, shared: bool = False) -> MsMdaModel:
+    """Build a model with fan-in-uniform weights from the config seed; with
+    ``shared`` its arena's four buffers are one MAP_SHARED mapping, so branch
+    lanes forked after it read the values and write the gradients in place."""
     rng = np.random.default_rng(config.rng_seed)
-    model = MsMdaModel(config, Parameter(np.zeros((1, arena_size(config)))))
+    arena = Parameter(np.zeros((1, arena_size(config))))
+    if shared:
+        arena.value, arena.grad, arena.adam_m, arena.adam_v = _carve([arena.shape] * 4, True)
+    model = MsMdaModel(config, arena)
     for layer in model.layers:  # in order; biases stay 0
         layer.weight.value[...] = fan_in_uniform(*layer.weight.shape, rng)
     return model
 
 
-def _step_buffers(model: MsMdaModel, rows: int):
-    """The stacked input, each extractor layer's output (its backward writes the
-    masked gradient over it) and the gradient at each output, views of one buffer
-    as each is dead once the next is formed; made for a step of ``rows`` stacked
-    rows and kept while the count holds, so steps refault no pages for them."""
+def _carve(shapes, shared: bool) -> list[np.ndarray]:
+    """Zeroed float64 arrays of ``shapes``, views of one block, each on a
+    64-byte boundary of it; with ``shared`` the block is a MAP_SHARED mapping,
+    which processes forked after it read and write in place."""
+    spans = [-(-math.prod(shape) // 8) * 8 for shape in shapes]
+    size = sum(spans)
+    flat = np.frombuffer(mmap.mmap(-1, 8 * size), np.float64) if shared else np.zeros(size)
+    starts = np.cumsum([0] + spans)
+    return [flat[a:a + math.prod(shape)].reshape(shape) for a, shape in zip(starts, shapes)]
+
+
+class StepBuffers:
+    """A step's arrays for batch ``sizes`` (each source's rows, then the
+    target's), kept while the sizes hold, so steps refault no pages for them.
+
+    ``x`` is the stacked input, ``outs`` each extractor layer's output (its
+    backward writes the masked gradient over it) and ``grads`` the gradient at
+    each output; those before the last are views of one block, as each is dead
+    once the next is formed. The rest is what a branch exchanges with the
+    fold's own process: its ``logits``, its MMD value in ``mmd``, its
+    ``logit_grads`` and the gradient at its target rows (``target_grads``),
+    and the step's MMD weight ``alpha``. With ``shared``, the last output and
+    its gradient and these live in a MAP_SHARED mapping, so branch lanes
+    forked after it work on them in place; ``lanes`` holds the sockets to them.
+    """
+
+    def __init__(self, config: ModelConfig, sizes: tuple[int, ...], shared: bool):
+        rows, m, dims, n_br = sum(sizes), sizes[-1], config.cfe_dims, len(sizes) - 1
+        self.sizes, self.offsets, self.lanes = sizes, np.cumsum((0,) + sizes), []
+        self.x, *outs, flat = _carve([(rows, config.input_dim)] + [(rows, d) for d in dims[:-1]]
+                                     + [(rows * max(dims[:-1], default=1),)], False)
+        h, q, self.mmd, self.alpha, *ex = _carve(
+            [(rows, dims[-1])] * 2 + [(n_br,), (1,)]
+            + [(n + m, config.num_classes) for n in sizes[:-1]] * 2 + [(m, dims[-1])] * n_br,
+            shared)
+        self.logits, self.logit_grads, self.target_grads = (ex[i:i + n_br]
+                                                            for i in range(0, 3 * n_br, n_br))
+        self.outs = outs + [h]
+        self.grads = [flat[:rows * d].reshape(rows, d) for d in dims[:-1]] + [q]
+
+
+def step_buffers(model: MsMdaModel, sizes: tuple[int, ...], shared: bool = False) -> StepBuffers:
+    """``model``'s step buffers for batch ``sizes``, made anew when it holds
+    none for them."""
     held = model.step_buffers
-    if held is None or held[0].shape[0] != rows:
-        dims = model.config.cfe_dims
-        flat = np.empty(rows * max(dims))
-        held = model.step_buffers = (
-            np.empty((rows, model.config.input_dim)),
-            [np.empty((rows, d)) for d in dims],
-            [flat[:rows * d].reshape(rows, d) for d in dims],
-        )
+    if held is None or held.sizes != sizes:
+        held = model.step_buffers = StepBuffers(model.config, sizes, shared)
     return held
 
 
-def _forward(model: MsMdaModel, x: np.ndarray, offsets=None, outs=None):
+def _branch(branch: Branch, rows: np.ndarray, out=None):
+    """A branch's feature-layer output on ``rows`` and its logits, written into
+    ``out`` when given."""
+    r = leaky_relu(branch.dsfe.forward(rows), LEAKY_SLOPE)
+    return r, branch.dsc.forward(r, out=out)
+
+
+def _forward(model: MsMdaModel, x: np.ndarray, outs=None):
     """The extractor's activations (``x``, then each layer's LeakyReLU output,
     which is also its backward's mask, written into ``outs`` when given), plus
-    a lazy iterator of each branch's (rows, features, logits), so only one
-    branch is held at a time; ``rows`` is what the branch's feature layer saw.
-
-    With ``offsets`` (row bounds of the stacked sources, then the target)
-    branch i sees its source rows, then the target rows; else every row.
+    a lazy iterator of each branch's (features, logits) on every row, so only
+    one branch is held at a time.
     """
     acts = [x]
     for layer, out in zip(model.cfe, outs or [None] * len(model.cfe)):
         z = layer.forward(acts[-1], out=out)
         acts.append(leaky_relu(z, LEAKY_SLOPE, out=z))
     h = acts[-1]
+    return acts, (_branch(branch, h) for branch in model.branches)
 
-    def branches():
-        for i, branch in enumerate(model.branches):
-            rows = h if offsets is None else np.vstack(
-                [h[offsets[i]:offsets[i + 1]], h[offsets[-2]:]])
-            r = leaky_relu(branch.dsfe.forward(rows), LEAKY_SLOPE)
-            yield rows, r, branch.dsc.forward(r)
 
-    return acts, branches()
+def branch_forward(model: MsMdaModel, buf: StepBuffers, i: int, kernel: KernelSpec):
+    """Branch ``i`` of a step whose extractor output is in ``buf``: its
+    forward on its source rows and the target rows, and their MMD. Writes its
+    logits and MMD value into ``buf``; returns what its backward reads."""
+    o, n, h = buf.offsets, buf.sizes[i], buf.outs[-1]
+    rows = np.vstack([h[o[i]:o[i + 1]], h[o[-2]:]])
+    r, _ = _branch(model.branches[i], rows, out=buf.logits[i])
+    buf.mmd[i], g_src, g_tgt = mmd_squared(r[:n], r[n:], kernel)
+    return rows, r, g_src, g_tgt
+
+
+def branch_backward(model: MsMdaModel, buf: StepBuffers, i: int, saved) -> None:
+    """Branch ``i``'s backward from its logit gradient in ``buf`` and what its
+    forward ``saved``: adds into its parameters' gradients and into the
+    extractor output's gradient at its source rows, and writes the gradient at
+    the target rows into ``buf``."""
+    rows, r, g_src, g_tgt = saved
+    branch, o, n = model.branches[i], buf.offsets, buf.sizes[i]
+    g_r = branch.dsc.backward(r, buf.logit_grads[i])
+    # mmd component is the branch mean, so each branch carries alpha/N
+    weight = buf.alpha[0] / model.num_branches
+    g_r[:n] += weight * g_src
+    g_r[n:] += weight * g_tgt
+    g_joined = branch.dsfe.backward(rows, leaky_relu_backward(g_r, r, LEAKY_SLOPE))
+    # added to the zeroed rows, not assigned: 0.0 + -0.0 is 0.0
+    buf.grads[-1][o[i]:o[i + 1]] += g_joined[:n]
+    buf.target_grads[i][...] = g_joined[n:]
+
+
+_FORWARD, _BACKWARD = b"f", b"b"
+
+
+def _lanes_io(lanes, ask=None) -> None:
+    """Send ``ask`` to every lane or, without it, wait for every lane's
+    answer; a lane that is gone raises EOFError with its index."""
+    for j, sock in enumerate(lanes):
+        try:
+            if ask:
+                sock.sendall(ask)
+            elif not sock.recv(1):
+                raise OSError
+        except OSError:
+            raise EOFError(j) from None
+
+
+def serve_lane(model: MsMdaModel, sock, branches: range, kernel: KernelSpec) -> None:
+    """A branch lane's loop over ``model``'s shared step buffers: each
+    ``_FORWARD`` on ``sock`` runs ``branches`` forward, each ``_BACKWARD`` their
+    backward, and each is answered with its own byte once done. Returns when
+    the fold's process closes its end."""
+    buf, saved = model.step_buffers, []
+    while ask := sock.recv(1):
+        if ask == _FORWARD:
+            saved = [(i, branch_forward(model, buf, i, kernel)) for i in branches]
+        while ask == _BACKWARD and saved:
+            branch_backward(model, buf, *saved.pop(0))
+        sock.sendall(ask)
 
 
 def _input_matrix(model: MsMdaModel, x, name: str) -> np.ndarray:
@@ -248,6 +342,11 @@ def compute_losses(
     is backpropagated, from the activations the forward returned, into
     every parameter's grad buffer (no optimizer step); a non-finite one is
     returned without a backward.
+
+    With k - 1 branch lanes in the step buffers (see ``serve_lane``; they
+    run the kernel they were forked with), this process runs branches 0, k,
+    2k, ... and lane j branches j, j + k, ...; all that mixes branches runs
+    here, in branch order, so the result is that of one process bit for bit.
     """
     kernel = kernel or KernelSpec()
     if len(source_batches) != model.num_branches:
@@ -260,42 +359,40 @@ def compute_losses(
         feats.append(_input_matrix(model, f, name))
         if feats[-1].shape[0] == 0:
             raise ValidationError(f"{name} is empty")
-    sizes = [f.shape[0] for f in feats]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    sizes = tuple(f.shape[0] for f in feats)
 
-    x, outs, grads = _step_buffers(model, int(offsets[-1]))
-    acts, branches = _forward(model, np.concatenate(feats, out=x), offsets, outs)
-    saved, logits_src, probs_tgt, mmd_values = [], [], [], []
-    for (rows, r, logits), n_src in zip(branches, sizes):
-        value, g_src, g_tgt = mmd_squared(r[:n_src], r[n_src:], kernel)
-        mmd_values.append(value)
-        saved.append((rows, r, g_src, g_tgt))
-        logits_src.append(logits[:n_src])
-        probs_tgt.append(softmax(logits[n_src:]))
-
-    cls_value, cls_grads = classification_loss(logits_src, [y for _, y in source_batches])
+    buf = step_buffers(model, sizes)
+    acts, _ = _forward(model, np.concatenate(feats, out=buf.x), buf.outs)
+    _lanes_io(buf.lanes, _FORWARD)
+    saved = [(i, branch_forward(model, buf, i, kernel))
+             for i in range(0, model.num_branches, len(buf.lanes) + 1)]
+    _lanes_io(buf.lanes)
+    probs_tgt = [softmax(logits[n:]) for logits, n in zip(buf.logits, sizes)]
+    cls_value, cls_grads = classification_loss(
+        [logits[:n] for logits, n in zip(buf.logits, sizes)], [y for _, y in source_batches])
     disc_value, disc_grads = discrepancy_loss(probs_tgt)
-    breakdown = total_loss(cls_value, float(np.mean(mmd_values)), disc_value, alpha, beta)
+    breakdown = total_loss(cls_value, float(np.mean(buf.mmd)), disc_value, alpha, beta)
     if not math.isfinite(breakdown.total):
         return breakdown  # diverged run: report the damage, run no backward
 
-    grad_q = grads[-1]
+    buf.alpha[0] = alpha
+    grad_q = buf.grads[-1]
     grad_q.fill(0.0)
+    for g, g_cls, g_disc, probs, n in zip(buf.logit_grads, cls_grads, disc_grads, probs_tgt,
+                                         sizes):
+        g[:n] = g_cls
+        g[n:] = softmax_backward(beta * g_disc, probs)
+    _lanes_io(buf.lanes, _BACKWARD)
     # release each branch's activations once consumed, for a lower peak
-    for i, (branch, n_src) in enumerate(zip(model.branches, sizes)):
-        rows, r, g_src, g_tgt = saved[i]
-        saved[i] = None
-        g_logits_tgt = softmax_backward(beta * disc_grads[i], probs_tgt[i])
-        g_r = branch.dsc.backward(r, np.vstack([cls_grads[i], g_logits_tgt]))
-        # mmd component is the branch mean, so each branch carries alpha/N
-        g_r[:n_src] += (alpha / model.num_branches) * g_src
-        g_r[n_src:] += (alpha / model.num_branches) * g_tgt
-        g_joined = branch.dsfe.backward(rows, leaky_relu_backward(g_r, r, LEAKY_SLOPE))
-        grad_q[offsets[i]:offsets[i + 1]] += g_joined[:n_src]
-        grad_q[offsets[-2]:offsets[-1]] += g_joined[n_src:]
+    while saved:
+        branch_backward(model, buf, *saved.pop(0))
+    _lanes_io(buf.lanes)
+    target_rows = grad_q[buf.offsets[-2]:]
+    for part in buf.target_grads:
+        target_rows += part
     g = grad_q
     # the first layer's input is the data batch: no gradient wanted there
-    for layer, grad_in in zip(reversed(model.cfe), reversed([None] + grads[:-1])):
+    for layer, grad_in in zip(reversed(model.cfe), reversed([None] + buf.grads[:-1])):
         out = acts.pop()
         # the masked gradient overwrites the layer's output, which nothing reads after it
         g = layer.backward(acts[-1], leaky_relu_backward(g, out, LEAKY_SLOPE, out=out),
@@ -329,7 +426,7 @@ def predict(model: MsMdaModel, target_features):
     Returns (avg_probs, labels, per_branch_probs).
     """
     _, branches = _forward(model, _input_matrix(model, target_features, "target features"))
-    per_branch = [softmax(logits) for _, _, logits in branches]
+    per_branch = [softmax(logits) for _, logits in branches]
     avg = np.mean(per_branch, axis=0)
     labels = np.argmax(avg, axis=1).astype(np.int64)
     return avg, labels, per_branch
@@ -339,7 +436,7 @@ def extract_branch_features(model: MsMdaModel, features):
     """Every branch's feature-layer output (the classifier's input), in
     branch order, lazily from one extractor pass over ``features``."""
     _, branches = _forward(model, _input_matrix(model, features, "features"))
-    return (r for _, r, _ in branches)
+    return (r for r, _ in branches)
 
 
 def save_checkpoint(model: MsMdaModel, path) -> None:

@@ -8,10 +8,13 @@ import pickle
 import re
 import shutil
 import signal
+import subprocess
+import sys
 import time
 import tracemalloc
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -792,6 +795,151 @@ class TestForkedFolds:
             (group / "memory.max").write_text(cgroup[0] + "\n")
             (group / "memory.current").write_text(cgroup[1] + "\n")
         assert harness.available_memory(str(proc), str(cgroups)) == expected
+
+
+class TestBranchLanes:
+    """A fold process with spare CPU slots runs its branches on forked lanes;
+    the outputs are those of a serial run."""
+
+    synth = SynthConfig(num_domains=5, samples_per_domain=90, num_classes=3, feature_dim=8,
+                        class_separation=3.0, domain_shift_scale=0.8, noise_std=1.0,
+                        rng_seed=0)  # four sources: up to three lanes
+
+    def lanes_forked(self, monkeypatch, tmp_path):
+        """Record each lane's branches in a file the lanes append to."""
+        log = tmp_path / "lanes.txt"
+        real_lane = harness._lane
+
+        def recording_lane(model, sock, branches, *args):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{list(branches)}\n")
+            return real_lane(model, sock, branches, *args)
+
+        monkeypatch.setattr(harness, "_lane", recording_lane)
+        return log
+
+    @pytest.mark.parametrize("kind, lr", [("rbf_multiscale", 0.01), ("rbf_fixed", 0.01),
+                                          ("rbf_multiscale", 1e154)],
+                             ids=["multiscale", "fixed", "diverging"])
+    def test_outputs_equal_a_serial_run(self, tmp_path, monkeypatch, kind, lr):
+        # four fake CPUs: pinning to CPUs 2 and 3 fails, and those lanes run unpinned
+        log = self.lanes_forked(monkeypatch, tmp_path)
+        trees, lanes = [], []
+        for cpus in (1, 2, 4):
+            usable_cpus(monkeypatch, cpus)
+            out = tmp_path / f"cpus{cpus}"
+            run_experiment(small_config(synth=self.synth, kernel=KernelSpec(kind=kind),
+                                        train=TrainConfig(epochs=3, batch_size=32, lr=lr),
+                                        out_dir=str(out)))
+            assert multiprocessing.active_children() == []
+            trees.append(out_tree(out))
+            lanes.append(sorted(log.read_text().splitlines()) if log.exists() else [])
+            log.unlink(missing_ok=True)
+        assert lanes == [[], ["[1, 3]"], ["[1]", "[2]", "[3]"]]
+        assert trees[1] == trees[0] and trees[2] == trees[0]
+        summary = json.loads(trees[0]["summary.json"])
+        assert summary["aborted_folds"] == ([{"fold_id": "synthetic", "seed": 0}]
+                                            if lr > 1 else [])
+
+    def test_lane_death_is_a_data_error(self, tmp_path, monkeypatch, capfd):
+        import msmda.model
+
+        real_branch_forward = msmda.model.branch_forward
+        test_pid, calls = os.getpid(), []
+
+        def dying_branch_forward(*args):
+            calls.append(os.getpid())  # a lane's calls: those under its own pid
+            if os.getpid() != test_pid and calls.count(os.getpid()) == 5:  # mid-fold
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_branch_forward(*args)
+
+        monkeypatch.setattr(msmda.model, "branch_forward", dying_branch_forward)
+        usable_cpus(monkeypatch, 2)
+        message = "fold synthetic (seed 0): its branch lane exited with code -9"
+        with pytest.raises(data.DataError, match=re.escape(message)):
+            run_experiment(small_config(synth=self.synth))
+        assert multiprocessing.active_children() == []
+        (tmp_path / "synth.json").write_text(json.dumps(vars(self.synth)))
+        capfd.readouterr()
+        code = main(["train", "--synth", str(tmp_path / "synth.json"), "--seeds", "0",
+                     "--epochs", "3", "--batch-size", "32", "--cfe-dims", "12,10,8",
+                     "--dsfe-dim", "6", "--out", str(tmp_path / "cli"), "--quiet"])
+        assert code == 3
+        assert capfd.readouterr().err == f"data error: {message}\n"
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus, blas, jobs, method, expected", [
+        (2, 1, 1, "ms_mda", [[{0}, {1}]]),
+        (8, 1, 1, "ms_mda", [[{0}, {1}, {2}, {3}]]),  # at most one lane per branch
+        (8, 1, 1, "source_combine", [[{0}]]),  # the baseline has one branch
+        (2, 1, 2, "ms_mda", [[{0}], [{1}]]),  # the pool fills the CPUs
+        (3, 1, 2, "ms_mda", [[{0}], [{1}]]),
+        (4, 1, 2, "ms_mda", [[{0}, {1}], [{2}, {3}]]),
+        (4, 2, 1, "ms_mda", [[{0, 1}, {2, 3}]]),
+        (1, 1, 1, "ms_mda", [[{0}]]),
+    ])
+    def test_lanes_take_the_slots_the_pool_leaves(self, monkeypatch, cpus, blas, jobs, method,
+                                                  expected):
+        usable_cpus(monkeypatch, cpus, blas)
+        config = small_config(synth=self.synth, method=method)
+        assert harness.fold_processes(config, build_tasks(config, 0)[0], jobs) == expected
+
+    def test_lanes_take_what_memory_holds(self, monkeypatch):
+        config = small_config(synth=self.synth)
+        task = build_tasks(config, 0)[0]
+        usable_cpus(monkeypatch, 4)
+        for lanes in (1, 2, 3, 4):
+            budget = harness.process_bytes(config, task, lanes)
+            monkeypatch.setattr(harness, "available_memory", lambda: budget)
+            assert [len(p) for p in harness.fold_processes(config, task, 1)] == [lanes]
+            monkeypatch.setattr(harness, "available_memory", lambda: budget - 1)
+            assert [len(p) for p in harness.fold_processes(config, task, 1)] == [lanes - 1 or 1]
+
+
+INTERRUPTED_AT_FORK = """
+import os, signal, sys
+from dataclasses import replace
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+os.sched_getaffinity = lambda pid: {0, 1}
+from msmda.data import NormalizationSpec, SynthConfig, load_dataset_grid
+from msmda.harness import ExperimentConfig, run_experiment
+from msmda.model import ModelConfig, TrainConfig
+
+# every fork then signals this process, as a Ctrl-C landing in the fork would
+os.register_at_fork(after_in_parent=lambda: os.kill(os.getpid(), signal.SIGINT))
+config = ExperimentConfig(
+    synth=SynthConfig(num_domains=3, samples_per_domain=90, feature_dim=8),
+    norm=NormalizationSpec(kind="none"),
+    model=ModelConfig(num_branches=1, cfe_dims=(12, 10, 8), dsfe_dim=6),
+    train=TrainConfig(epochs=2, batch_size=32))
+calls = {"grid parse": lambda: load_dataset_grid(sys.argv[1]),
+         "fold pool": lambda: run_experiment(replace(config, seeds=(0, 1))),
+         "branch lanes": lambda: run_experiment(config)}
+for name, call in calls.items():
+    try:
+        call()
+        outcome = "returned"
+    except KeyboardInterrupt:
+        outcome = "interrupted"
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        outcome += ", child left"
+    except ChildProcessError:  # no child at all
+        pass
+    print(f"{name}: {outcome}", flush=True)
+"""
+
+
+def test_an_interrupt_at_a_fork_is_raised(tmp_path):
+    # in a child interpreter: a fork hook cannot be unregistered
+    TestFileData().save_grid(tmp_path / "data")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(harness.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", INTERRUPTED_AT_FORK, str(tmp_path / "data")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.stdout.splitlines() == [
+        "grid parse: interrupted", "fold pool: interrupted", "branch lanes: interrupted"
+    ], proc.stderr
 
 
 class TestDumpFeatures:

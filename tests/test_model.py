@@ -18,6 +18,7 @@ from msmda.model import (
     TrainConfig,
     _forward,
     arena_size,
+    branch_forward,
     compute_losses,
     extract_branch_features,
     init_model,
@@ -25,6 +26,7 @@ from msmda.model import (
     loss_weights,
     predict,
     save_checkpoint,
+    step_buffers,
     train_step,
 )
 from msmda.neuralcore import (
@@ -293,8 +295,9 @@ class TestStepBuffers:
 
     @staticmethod
     def pointers(model):
-        x, outs, grads = model.step_buffers
-        return [a.ctypes.data for a in [x, *outs, *grads]]
+        buf = model.step_buffers
+        return [a.ctypes.data for a in [buf.x, *buf.outs, *buf.grads, *buf.logits,
+                                        *buf.logit_grads, *buf.target_grads]]
 
     def test_consecutive_steps_reuse_the_buffers(self):
         rng = np.random.default_rng(30)
@@ -314,7 +317,7 @@ class TestStepBuffers:
             assert fresh.step_buffers is None
             expected = train_step(fresh, batches, target, alpha=0.7, beta=0.05)
             assert train_step(model, batches, target, alpha=0.7, beta=0.05) == expected
-            assert model.step_buffers[0].shape == (4 * rows, TOY.input_dim)
+            assert model.step_buffers.x.shape == (4 * rows, TOY.input_dim)
             assert model.arena.value.tobytes() == fresh.arena.value.tobytes()
 
     def test_copies_and_checkpoints_carry_no_buffer_bytes(self, tmp_path):
@@ -485,11 +488,11 @@ class TestExtractBranchFeatures:
         rng = np.random.default_rng(15)
         model = init_model(TOY)
         batches, target = toy_batches(rng)
-        # the rows and offsets compute_losses hands to the shared forward
+        # the step buffers and per-branch forward that compute_losses runs
         feats = [f for f, _ in batches] + [target]
-        offsets = np.concatenate([[0], np.cumsum([f.shape[0] for f in feats])])
-        _, branches = _forward(model, np.vstack(feats), offsets)
-        branch_features = [r for _, r, _ in branches]
+        buf = step_buffers(model, tuple(f.shape[0] for f in feats))
+        _forward(model, np.concatenate(feats, out=buf.x), buf.outs)
+        branch_features = [branch_forward(model, buf, i, KernelSpec())[1] for i in range(3)]
         target_features = list(extract_branch_features(model, target))
         for i in range(3):
             n_src = batches[i][0].shape[0]
