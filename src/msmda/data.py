@@ -486,30 +486,57 @@ def _load_cell(path, cell, num_classes) -> DomainDataset:
     return load_domain_csv(path, domain_id=(k, j), num_classes=num_classes)
 
 
-def start_child(proc, procs: list) -> None:
-    """Start ``proc`` and add it to ``procs`` with SIGINT held back: a Ctrl-C
-    in between is raised after both, neither lost in the fork's after-fork
-    callbacks nor leaving a child that its parent does not stop. The child
-    starts with SIGINT blocked; its target calls ``ignore_sigint`` first."""
-    held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+@contextlib.contextmanager
+def forked_children(make_pair):
+    """Yield ``fork(run)``: it makes a connection pair with ``make_pair``,
+    forks a child that at once calls ``run`` with the pair's second end, and
+    returns the first end and the child's process. Each child is recorded
+    with SIGINT held back, so a Ctrl-C at a fork is raised after it, neither
+    lost in the fork's after-fork callbacks nor leaving a child this block
+    does not stop. A child ignores SIGINT, as its parent stops it, and closes
+    the parent's ends, so the parent's exit reads as EOF there; the parent
+    closes the child's end, so the child's exit reads as EOF here. When the
+    block ends every child is stopped and every end closed."""
+    # fork, not spawn: a spawned child re-imports numpy (about 0.5 s) and is
+    # sent its inputs pickled, where a forked one shares them copy-on-write.
+    # OpenBLAS shuts its thread pool down before a fork (a pthread_atfork
+    # handler), so the children may call BLAS.
+    context = multiprocessing.get_context("fork")
+    procs, ends = [], []
+
+    def child(run, end):
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+        for parent_end in ends:
+            parent_end.close()
+        run(end)
+
+    def fork(run):
+        held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            ours, theirs = make_pair()
+            ends.append(ours)
+            with theirs:
+                proc = context.Process(target=child, args=(run, theirs))
+                proc.start()
+                procs.append(proc)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, held)
+        return ours, proc
+
     try:
-        proc.start()
-        procs.append(proc)
+        yield fork
     finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, held)
-
-
-def ignore_sigint() -> None:
-    """In a child of ``start_child``: ignore SIGINT, as the parent stops its
-    children, then unblock it."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+        for proc in procs:
+            proc.terminate()
+            proc.join()
+        for end in ends:
+            end.close()
 
 
 def _run_stripe(conn, fn, jobs) -> None:
     """Worker: send ``fn(job)`` of each job down ``conn``, or the first
     exception and stop."""
-    ignore_sigint()
     for job in jobs:
         try:
             result = fn(job)
@@ -526,40 +553,24 @@ def forked_stripes(fn, stripes, died):
     the second, and so on. A result that is an exception is raised when it is
     reached, and a worker that exits before sending a result raises
     ``died(job, exitcode)``. Every worker is stopped when the block ends."""
-    # fork, not spawn: a spawned worker re-imports numpy (about 0.5 s) and is
-    # sent its inputs pickled, where a forked one shares them copy-on-write.
-    # OpenBLAS shuts its thread pool down before a fork (a pthread_atfork
-    # handler), so the workers may call BLAS.
-    context = multiprocessing.get_context("fork")
-    procs, conns = [], []
+    with forked_children(lambda: multiprocessing.Pipe(duplex=False)) as fork:
+        workers = [fork(lambda conn: _run_stripe(conn, fn, stripe)) for stripe in stripes]
 
-    def results():
-        for r in range(max(map(len, stripes), default=0)):
-            for stripe, proc, conn in zip(stripes, procs, conns):
-                if r >= len(stripe):
-                    continue
-                try:
-                    result = conn.recv()
-                except EOFError:
-                    proc.join()
-                    raise died(stripe[r], proc.exitcode) from None
-                if isinstance(result, BaseException):
-                    raise result
-                yield result
+        def results():
+            for r in range(max(map(len, stripes), default=0)):
+                for stripe, (conn, proc) in zip(stripes, workers):
+                    if r >= len(stripe):
+                        continue
+                    try:
+                        result = conn.recv()
+                    except EOFError:
+                        proc.join()
+                        raise died(stripe[r], proc.exitcode) from None
+                    if isinstance(result, BaseException):
+                        raise result
+                    yield result
 
-    try:
-        for stripe in stripes:
-            reader, writer = context.Pipe(duplex=False)
-            conns.append(reader)
-            start_child(context.Process(target=_run_stripe, args=(writer, fn, stripe)), procs)
-            writer.close()  # the worker's copy is then the only one: its exit reads as EOF
         yield results()
-    finally:
-        for proc in procs:
-            proc.terminate()
-            proc.join()
-        for conn in conns:
-            conn.close()
 
 
 def load_dataset_grid(root) -> dict[tuple[int, int], DomainDataset]:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import math
-import multiprocessing
 import os
 import re
 import socket
@@ -29,16 +28,15 @@ from .data import (
     SynthConfig,
     TransferTask,
     check_seed,
+    forked_children,
     forked_stripes,
     generate_synthetic,
-    ignore_sigint,
     iterations_per_epoch,
     load_dataset_grid,
     make_folds,
     merge_domains,
     normalize,
     normalize_matrix,
-    start_child,
     synthetic_task,
     write_json,
 )
@@ -82,9 +80,6 @@ _STREAM_MODEL = 1
 _STREAM_SAMPLER = 2
 _STREAM_DUMP = 3
 
-# The CPU sets of the fold this process trains, its own and then one per
-# branch lane: run_experiment sets them around each fold (see fold_processes).
-_FOLD_CPUS: list[set[int]] = []
 
 @dataclass
 class ExperimentConfig:
@@ -204,13 +199,10 @@ def _accuracy(pred: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(pred == labels))
 
 
-def _lane(model, sock, branches, kernel, cpus, ends) -> None:
+def _lane(model, sock, branches, kernel, cpus) -> None:
     """A forked branch lane: pinned to ``cpus`` where they exist, it serves
     ``branches`` of the fold's steps on ``sock`` until the fold's process is
     gone (see ``serve_lane``)."""
-    ignore_sigint()
-    for end in ends:  # the fold process's ends: its exit then reads as EOF here
-        end.close()
     with contextlib.suppress(OSError):  # a CPU this host does not have: unpinned
         os.sched_setaffinity(0, cpus)
     with contextlib.suppress(OSError):  # the fold's process is gone
@@ -229,32 +221,24 @@ def branch_lanes(model: MsMdaModel, sizes, kernel: KernelSpec, cpus, died):
         yield
         return
     buf = step_buffers(model, sizes, shared=True)
-    context = multiprocessing.get_context("fork")
-    k, procs, usable = len(cpus), [], os.sched_getaffinity(0)
-    try:
-        for j, lane_cpus in enumerate(cpus[1:], start=1):
-            ours, theirs = socket.socketpair()
-            buf.lanes.append(ours)
-            start_child(context.Process(target=_lane, args=(
-                model, theirs, range(j, model.num_branches, k), kernel, lane_cpus, buf.lanes)),
-                procs)
-            theirs.close()
-        # pinned too: unpinned, a task the lane wakes lands on the lane's CPU
-        with contextlib.suppress(OSError):
-            os.sched_setaffinity(0, cpus[0])
-        yield
-    except EOFError as exc:
-        procs[exc.args[0]].join()
-        raise died(procs[exc.args[0]].exitcode) from None
-    finally:
-        for sock in buf.lanes:
-            sock.close()
-        buf.lanes.clear()
-        for proc in procs:
-            proc.terminate()
+    k, usable = len(cpus), os.sched_getaffinity(0)
+    with forked_children(socket.socketpair) as fork:
+        try:
+            lanes = [fork(lambda end: _lane(model, end, range(j, model.num_branches, k), kernel,
+                                            cpus[j])) for j in range(1, k)]
+            buf.lanes[:] = [sock for sock, _ in lanes]
+            # pinned too: unpinned, a task the lane wakes lands on the lane's CPU
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(0, cpus[0])
+            yield
+        except EOFError as exc:
+            proc = lanes[exc.args[0]][1]
             proc.join()
-        with contextlib.suppress(OSError):
-            os.sched_setaffinity(0, usable)
+            raise died(proc.exitcode) from None
+        finally:
+            buf.lanes.clear()
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(0, usable)
 
 
 def train_fold(
@@ -262,12 +246,14 @@ def train_fold(
     config: ExperimentConfig,
     seed: int,
     fold_index: int,
+    cpus: list[set[int]],
 ) -> tuple[list[MetricsRecord], MsMdaModel]:
     """Train one fold and evaluate the target after every epoch.
 
     Returns one ``ok`` row per epoch; a non-finite loss ends the fold with a
-    ``diverged`` row for that epoch. The steps run on branch lanes when
-    ``run_experiment`` gives this process more than one CPU set.
+    ``diverged`` row for that epoch. With more than one CPU set in ``cpus``
+    (this process's, then one per lane; see ``fold_processes``) the steps
+    run on branch lanes.
     """
     prepared = prepare_task(task, config.norm, config.method)
     train = config.train
@@ -278,7 +264,6 @@ def train_fold(
         num_classes=prepared.target.num_classes,
         rng_seed=_derived_seed(seed, fold_index, _STREAM_MODEL),
     )
-    cpus = _FOLD_CPUS[:prepared.num_sources]
     model = init_model(model_cfg, shared=len(cpus) > 1)
     sampler = BatchSampler(
         prepared, train.batch_size,
@@ -469,6 +454,11 @@ def available_memory(proc: str = "/proc", cgroups: str = "/sys/fs/cgroup") -> fl
     return min(readings, default=math.inf)
 
 
+def fold_branches(config: ExperimentConfig, task: TransferTask) -> int:
+    """The branches a fold of ``task`` trains: one per source, one for the baseline."""
+    return 1 if config.method == "source_combine" else task.num_sources
+
+
 def process_bytes(config: ExperimentConfig, task: TransferTask, lanes: int = 1) -> int:
     """Estimated bytes one more fold process adds, with its steps on ``lanes``
     processes, from a built ``task``'s shapes: the domains it makes (a
@@ -478,9 +468,8 @@ def process_bytes(config: ExperimentConfig, task: TransferTask, lanes: int = 1) 
     dim, row = task.target.feature_dim, 8 * (task.target.feature_dim + 1)
     source_rows = sum(s.num_samples for s in task.sources)
     domains = 0 if config.data_root else row * (source_rows + task.target.num_samples)
-    branches = task.num_sources
+    branches = fold_branches(config, task)
     if config.method == "source_combine":
-        branches = 1
         domains += row * source_rows * (1 + _norm_after_merge(config.norm, config.method))
     model = replace(config.model, num_branches=branches, input_dim=dim,
                     num_classes=task.target.num_classes)
@@ -511,8 +500,9 @@ def fold_processes(config: ExperimentConfig, task: TransferTask, jobs: int) -> l
     usable = sorted(os.sched_getaffinity(0))
     threads = blas_threads(len(usable))
     slots, memory = len(usable) // threads, available_memory()
-    n = max(1, int(min(jobs, slots, memory // process_bytes(config, task))))
-    k = max(1, min(slots // n, 1 if config.method == "source_combine" else task.num_sources))
+    # true division: an unread budget (inf) stays inf, where // would give NaN
+    n = max(1, int(min(jobs, slots, memory / process_bytes(config, task))))
+    k = max(1, min(slots // n, fold_branches(config, task)))
     while k > 1 and n * process_bytes(config, task, k) > memory:
         k -= 1
     return [[set(usable[s * threads:(s + 1) * threads]) for s in range(w * k, (w + 1) * k)]
@@ -548,15 +538,12 @@ def run_experiment(config: ExperimentConfig, log=None) -> dict:
             held[1] = None  # free the last seed's domains before building these
             held[:] = seed, build_tasks(config, seed)
         task = held[1][fold_index]
-        _FOLD_CPUS[:] = cpus[jobs.index(job) % n]
         try:
-            return train_fold(task, config, seed, fold_index)
+            return train_fold(task, config, seed, fold_index, cpus[jobs.index(job) % n])
         except DataError:
             raise
         except ValidationError as exc:
             raise ValidationError(f"fold {task.fold_id} (seed {seed}): {exc}") from exc
-        finally:
-            _FOLD_CPUS.clear()
 
     def run_in_worker(job):
         # the checkpoint needs only the values: not the gradient, nor the Adam moments

@@ -64,7 +64,7 @@ def small_config(**overrides):
 def first_fold(config):
     """Rows and model of the first seed's first fold, trained as a sweep would."""
     seed = config.seeds[0]
-    return train_fold(build_tasks(config, seed)[0], config, seed, 0)
+    return train_fold(build_tasks(config, seed)[0], config, seed, 0, [])
 
 
 def metrics_rows(run_dir):
@@ -391,10 +391,10 @@ class TestPersistence:
         real_train_fold = harness.train_fold
 
         # keyed on the job: a forked worker's calls never reach this process
-        def second_fold_raises(task, config, seed, fold_index):
+        def second_fold_raises(task, config, seed, fold_index, cpus):
             if (seed, fold_index) == (1, 0):  # the second job
                 raise RuntimeError("crash in the second fold")
-            return real_train_fold(task, config, seed, fold_index)
+            return real_train_fold(task, config, seed, fold_index, cpus)
 
         monkeypatch.setattr(harness, "train_fold", second_fold_raises)
         for cpus in (1, 2):
@@ -503,10 +503,10 @@ class TestFileData:
         real_train_fold = harness.train_fold
 
         # keyed on the job: a forked worker's calls never reach this process
-        def later_fold_raises(task, config, seed, fold_index):
+        def later_fold_raises(task, config, seed, fold_index, cpus):
             if (seed, fold_index) == self.jobs[k]:  # the (k+1)-th job
                 raise RuntimeError(f"crash in fold {k + 1}")
-            return real_train_fold(task, config, seed, fold_index)
+            return real_train_fold(task, config, seed, fold_index, cpus)
 
         monkeypatch.setattr(harness, "train_fold", later_fold_raises)
         for cpus in (1, 2):
@@ -530,13 +530,13 @@ class TestFileData:
         done = tmp_path / "job2-done"
         real_train_fold = harness.train_fold
 
-        def second_job_raises_after_third(task, config, seed, fold_index):
+        def second_job_raises_after_third(task, config, seed, fold_index, cpus):
             if (seed, fold_index) == self.jobs[1]:
                 deadline = time.monotonic() + 60
                 while not done.exists() and time.monotonic() < deadline:
                     time.sleep(0.01)
                 raise RuntimeError(f"crash in fold 2 (job 3 done: {done.exists()})")
-            result = real_train_fold(task, config, seed, fold_index)
+            result = real_train_fold(task, config, seed, fold_index, cpus)
             if (seed, fold_index) == self.jobs[2]:
                 done.touch()
             return result
@@ -573,8 +573,9 @@ class TestForkedFolds:
     @pytest.mark.parametrize("source", ["file-grid", "synthetic"])
     def test_outputs_and_log_equal_a_serial_run(self, tmp_path, monkeypatch, source):
         make = self.make_config(tmp_path, source)
+        lanes = TestBranchLanes().lanes_forked(monkeypatch, tmp_path)
         trees, logs = [], []
-        for cpus in (1, 2, 3):
+        for cpus in (1, 2, 3, 6):
             usable_cpus(monkeypatch, cpus)
             lines = []
             run_experiment(make(tmp_path / f"cpus{cpus}"), log=lines.append)
@@ -583,8 +584,13 @@ class TestForkedFolds:
             logs.append(lines)
         assert len(logs[0]) == (9 if source == "file-grid" else 3)
         assert len(trees[0]) == 3 + len(logs[0])  # config, metrics, summary, checkpoints
-        assert trees[1] == trees[0] and trees[2] == trees[0]
-        assert logs[1] == logs[0] and logs[2] == logs[0]
+        assert trees[1] == trees[0] and trees[2] == trees[0] and trees[3] == trees[0]
+        assert logs[1] == logs[0] and logs[2] == logs[0] and logs[3] == logs[0]
+        # six CPUs: nine file folds fill six processes of one slot; three
+        # two-branch synthetic folds take three processes of two slots, so this
+        # process and both workers each fork a lane for branch 1
+        forked = lanes.read_text().splitlines() if lanes.exists() else []
+        assert forked == ([] if source == "file-grid" else ["[1]"] * 3)
 
     # processes: usable CPUs over each one's BLAS threads, at most one per job;
     # with no thread setting OpenBLAS takes every usable CPU, so one process
@@ -597,10 +603,10 @@ class TestForkedFolds:
         log = tmp_path / "jobs.txt"
         real_train_fold = harness.train_fold
 
-        def recording_train_fold(task, config, seed, fold_index):
+        def recording_train_fold(task, config, seed, fold_index, cpus):
             with open(log, "a", encoding="utf-8") as fh:
                 fh.write(f"{seed} {fold_index} {os.getpid()}\n")
-            return real_train_fold(task, config, seed, fold_index)
+            return real_train_fold(task, config, seed, fold_index, cpus)
 
         monkeypatch.setattr(harness, "train_fold", recording_train_fold)
         usable_cpus(monkeypatch, cpus, blas)
@@ -657,10 +663,10 @@ class TestForkedFolds:
         make = self.make_config(tmp_path, "file-grid")
         real_train_fold = harness.train_fold
 
-        def bad_fold(task, config, seed, fold_index):
+        def bad_fold(task, config, seed, fold_index, cpus):
             if (seed, fold_index) == failing:
                 config = replace(config, train=replace(config.train, batch_size=0))
-            return real_train_fold(task, config, seed, fold_index)
+            return real_train_fold(task, config, seed, fold_index, cpus)
 
         def outcome(cpus):
             usable_cpus(monkeypatch, cpus)
@@ -679,10 +685,10 @@ class TestForkedFolds:
         real_train_fold = harness.train_fold
         test_pid = os.getpid()
 
-        def dying_train_fold(task, config, seed, fold_index):
+        def dying_train_fold(task, config, seed, fold_index, cpus):
             if (seed, fold_index) == (1, 0) and os.getpid() != test_pid:
                 os._exit(1)
-            return real_train_fold(task, config, seed, fold_index)
+            return real_train_fold(task, config, seed, fold_index, cpus)
 
         monkeypatch.setattr(harness, "train_fold", dying_train_fold)
         usable_cpus(monkeypatch, 2)  # job 3, (1, 0), falls to the worker
@@ -704,11 +710,11 @@ class TestForkedFolds:
         real_train_fold = harness.train_fold
         test_pid = os.getpid()
 
-        def interrupting_train_fold(task, config, seed, fold_index):
+        def interrupting_train_fold(task, config, seed, fold_index, cpus):
             if (seed, fold_index) == (0, 1) and os.getpid() != test_pid:
                 os.kill(test_pid, signal.SIGINT)  # as Ctrl-C would, while the test waits
                 time.sleep(60)
-            return real_train_fold(task, config, seed, fold_index)
+            return real_train_fold(task, config, seed, fold_index, cpus)
 
         monkeypatch.setattr(harness, "train_fold", interrupting_train_fold)
         usable_cpus(monkeypatch, 2)
@@ -757,7 +763,8 @@ class TestForkedFolds:
         run_experiment(make(tmp_path / "serial"))
         serial = out_tree(tmp_path / "serial")
         usable_cpus(monkeypatch, 2)
-        for budget, workers in ((2 * one - 1, 0), (2 * one, 1)):
+        # inf: neither /proc/meminfo nor a cgroup reads, and the slots alone count
+        for budget, workers in ((2 * one - 1, 0), (2 * one, 1), (math.inf, 1)):
             monkeypatch.setattr(harness, "available_memory", lambda: budget)
             run_experiment(make(tmp_path / f"budget{budget}"))
             assert len(pools[-1]) == workers
@@ -884,6 +891,67 @@ class TestBranchLanes:
         config = small_config(synth=self.synth, method=method)
         assert harness.fold_processes(config, build_tasks(config, 0)[0], jobs) == expected
 
+    def test_lane_death_in_a_worker_is_a_data_error(self, tmp_path, monkeypatch, capfd):
+        # six CPUs, three seeds: this process and two workers each train one
+        # fold with one lane; the lanes of both workers die mid-fold
+        import msmda.model
+
+        real_branch_forward = msmda.model.branch_forward
+        test_pid, calls = os.getpid(), []
+
+        def dying_branch_forward(*args):
+            calls.append(os.getpid())  # a lane's calls: those under its own pid
+            in_worker_lane = test_pid not in (os.getpid(), os.getppid())
+            if in_worker_lane and calls.count(os.getpid()) == 5:  # mid-fold
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_branch_forward(*args)
+
+        monkeypatch.setattr(msmda.model, "branch_forward", dying_branch_forward)
+        usable_cpus(monkeypatch, 6)
+        # raised in job order: seed 1's fold, after seed 0's is logged
+        message = "fold synthetic (seed 1): its branch lane exited with code -9"
+        lines = []
+        with pytest.raises(data.DataError, match=re.escape(message)):
+            run_experiment(small_config(synth=self.synth, seeds=(0, 1, 2)), log=lines.append)
+        assert multiprocessing.active_children() == []
+        assert [line.partition(":")[0] for line in lines] == ["seed 0 fold synthetic"]
+        (tmp_path / "synth.json").write_text(json.dumps(vars(self.synth)))
+        capfd.readouterr()
+        code = main(["train", "--synth", str(tmp_path / "synth.json"), "--seeds", "0,1,2",
+                     "--epochs", "3", "--batch-size", "32", "--cfe-dims", "12,10,8",
+                     "--dsfe-dim", "6", "--out", str(tmp_path / "cli"), "--quiet"])
+        assert code == 3
+        assert capfd.readouterr().err == f"data error: {message}\n"
+        assert multiprocessing.active_children() == []
+
+    def test_worker_death_beside_its_lane_is_a_data_error(self, monkeypatch):
+        # the lane holds a copy of the worker's result pipe; it exits once its
+        # socket reads EOF, so the worker's death still reads as EOF here
+        import msmda.model
+
+        real_train_fold, test_pid, workers = harness.train_fold, os.getpid(), []
+
+        def dying_train_fold(task, config, seed, fold_index, cpus):
+            if os.getpid() != test_pid:
+                workers.append(os.getpid())  # forked lanes have their own pids
+            return real_train_fold(task, config, seed, fold_index, cpus)
+
+        real_branch_forward, calls = msmda.model.branch_forward, []
+
+        def dying_branch_forward(*args):
+            calls.append(os.getpid())
+            if os.getpid() in workers and calls.count(os.getpid()) == 9:  # mid-fold
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_branch_forward(*args)
+
+        monkeypatch.setattr(harness, "train_fold", dying_train_fold)
+        monkeypatch.setattr(msmda.model, "branch_forward", dying_branch_forward)
+        usable_cpus(monkeypatch, 6)
+        message = "fold synthetic (seed 1): its worker exited with code -9"
+        with pytest.raises(data.DataError, match=re.escape(message)):
+            run_experiment(small_config(synth=self.synth, seeds=(0, 1, 2)))
+        assert multiprocessing.active_children() == []
+
     def test_lanes_take_what_memory_holds(self, monkeypatch):
         config = small_config(synth=self.synth)
         task = build_tasks(config, 0)[0]
@@ -894,6 +962,9 @@ class TestBranchLanes:
             assert [len(p) for p in harness.fold_processes(config, task, 1)] == [lanes]
             monkeypatch.setattr(harness, "available_memory", lambda: budget - 1)
             assert [len(p) for p in harness.fold_processes(config, task, 1)] == [lanes - 1 or 1]
+        monkeypatch.setattr(harness, "available_memory", lambda: math.inf)  # neither reads
+        assert [len(p) for p in harness.fold_processes(config, task, 1)] == [4]
+        assert [len(p) for p in harness.fold_processes(config, task, 9)] == [1] * 4
 
 
 INTERRUPTED_AT_FORK = """
