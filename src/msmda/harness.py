@@ -15,7 +15,6 @@ import csv
 import math
 import os
 import re
-import socket
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -28,7 +27,6 @@ from .data import (
     SynthConfig,
     TransferTask,
     check_seed,
-    forked_children,
     forked_stripes,
     generate_synthetic,
     iterations_per_epoch,
@@ -48,6 +46,7 @@ from .model import (
     TrainConfig,
     _forward,
     arena_size,
+    branch_lanes,
     compute_losses,
     extract_branch_features,
     init_model,
@@ -55,8 +54,6 @@ from .model import (
     loss_weights,
     predict,
     save_checkpoint,
-    serve_lane,
-    step_buffers,
     train_step,
 )
 from .neuralcore import (
@@ -108,6 +105,8 @@ class ExperimentConfig:
         if self.method not in METHODS:
             raise ValidationError(f"unknown method {self.method!r}")
         if self.data_root is None:
+            if self.loso:
+                raise ValidationError("loso mode applies to file data (data_root) only")
             self.scenario = "synthetic"
         elif self.scenario not in ("cross_session", "cross_subject"):
             raise ValidationError(
@@ -199,48 +198,6 @@ def _accuracy(pred: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(pred == labels))
 
 
-def _lane(model, sock, branches, kernel, cpus) -> None:
-    """A forked branch lane: pinned to ``cpus`` where they exist, it serves
-    ``branches`` of the fold's steps on ``sock`` until the fold's process is
-    gone (see ``serve_lane``)."""
-    with contextlib.suppress(OSError):  # a CPU this host does not have: unpinned
-        os.sched_setaffinity(0, cpus)
-    with contextlib.suppress(OSError):  # the fold's process is gone
-        serve_lane(model, sock, branches, kernel)
-
-
-@contextlib.contextmanager
-def branch_lanes(model: MsMdaModel, sizes, kernel: KernelSpec, cpus, died):
-    """With k CPU sets in ``cpus``, pin this process to the first and fork k - 1
-    branch lanes, lane j pinned to set j, for ``model``'s steps of batch
-    ``sizes``: lane j runs branches j, j + k, ... of each step. A set this
-    host does not have pins nothing. A lane that is gone raises
-    ``died(exitcode)``; every lane is stopped, and this process unpinned, when
-    the block ends. With one set or none nothing is pinned or forked."""
-    if len(cpus) < 2:
-        yield
-        return
-    buf = step_buffers(model, sizes, shared=True)
-    k, usable = len(cpus), os.sched_getaffinity(0)
-    with forked_children(socket.socketpair) as fork:
-        try:
-            lanes = [fork(lambda end: _lane(model, end, range(j, model.num_branches, k), kernel,
-                                            cpus[j])) for j in range(1, k)]
-            buf.lanes[:] = [sock for sock, _ in lanes]
-            # pinned too: unpinned, a task the lane wakes lands on the lane's CPU
-            with contextlib.suppress(OSError):
-                os.sched_setaffinity(0, cpus[0])
-            yield
-        except EOFError as exc:
-            proc = lanes[exc.args[0]][1]
-            proc.join()
-            raise died(proc.exitcode) from None
-        finally:
-            buf.lanes.clear()
-            with contextlib.suppress(OSError):
-                os.sched_setaffinity(0, usable)
-
-
 def train_fold(
     task: TransferTask,
     config: ExperimentConfig,
@@ -264,7 +221,7 @@ def train_fold(
         num_classes=prepared.target.num_classes,
         rng_seed=_derived_seed(seed, fold_index, _STREAM_MODEL),
     )
-    model = init_model(model_cfg, shared=len(cpus) > 1)
+    model = init_model(model_cfg)
     sampler = BatchSampler(
         prepared, train.batch_size,
         np.random.SeedSequence([seed, fold_index, _STREAM_SAMPLER, train.rng_seed]),

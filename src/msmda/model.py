@@ -10,14 +10,17 @@ Inference averages the branch softmax outputs.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import mmap
 import os
+import socket
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import forked_children
 from .errors import DataError, ShapeError, ValidationError
 from .losses import (
     KernelSpec,
@@ -171,67 +174,64 @@ class MsMdaModel:
         return self.config.num_branches
 
 
-def init_model(config: ModelConfig, shared: bool = False) -> MsMdaModel:
-    """Build a model with fan-in-uniform weights from the config seed; with
-    ``shared`` its arena's four buffers are one MAP_SHARED mapping, so branch
-    lanes forked after it read the values and write the gradients in place."""
+def init_model(config: ModelConfig) -> MsMdaModel:
+    """Build a model with fan-in-uniform weights from the config seed. Its
+    arena's four buffers are one MAP_SHARED mapping, so branch lanes forked
+    after it read the values and write the gradients in place."""
     rng = np.random.default_rng(config.rng_seed)
-    arena = Parameter(np.zeros((1, arena_size(config))))
-    if shared:
-        arena.value, arena.grad, arena.adam_m, arena.adam_v = _carve([arena.shape] * 4, True)
+    arena = Parameter.__new__(Parameter)  # no private buffers made only to be replaced
+    arena.step_count = 0
+    arena.value, arena.grad, arena.adam_m, arena.adam_v = _carve([(1, arena_size(config))] * 4)
     model = MsMdaModel(config, arena)
     for layer in model.layers:  # in order; biases stay 0
         layer.weight.value[...] = fan_in_uniform(*layer.weight.shape, rng)
     return model
 
 
-def _carve(shapes, shared: bool) -> list[np.ndarray]:
-    """Zeroed float64 arrays of ``shapes``, views of one block, each on a
-    64-byte boundary of it; with ``shared`` the block is a MAP_SHARED mapping,
-    which processes forked after it read and write in place."""
+def _carve(shapes) -> list[np.ndarray]:
+    """Zeroed float64 arrays of ``shapes``, views of one MAP_SHARED mapping,
+    each on a 64-byte boundary of it; processes forked after it read and
+    write them in place."""
     spans = [-(-math.prod(shape) // 8) * 8 for shape in shapes]
-    size = sum(spans)
-    flat = np.frombuffer(mmap.mmap(-1, 8 * size), np.float64) if shared else np.zeros(size)
+    flat = np.frombuffer(mmap.mmap(-1, 8 * sum(spans)), np.float64)
     starts = np.cumsum([0] + spans)
     return [flat[a:a + math.prod(shape)].reshape(shape) for a, shape in zip(starts, shapes)]
 
 
 class StepBuffers:
     """A step's arrays for batch ``sizes`` (each source's rows, then the
-    target's), kept while the sizes hold, so steps refault no pages for them.
+    target's) and MMD ``kernel``, kept while both hold, so steps refault no
+    pages for them. All are views of one MAP_SHARED mapping, so branch lanes
+    forked after it work on them in place; ``lanes`` holds the sockets to them.
 
     ``x`` is the stacked input, ``outs`` each extractor layer's output (its
     backward writes the masked gradient over it) and ``grads`` the gradient at
-    each output; those before the last are views of one block, as each is dead
-    once the next is formed. The rest is what a branch exchanges with the
-    fold's own process: its ``logits``, its MMD value in ``mmd``, its
-    ``logit_grads`` and the gradient at its target rows (``target_grads``),
-    and the step's MMD weight ``alpha``. With ``shared``, the last output and
-    its gradient and these live in a MAP_SHARED mapping, so branch lanes
-    forked after it work on them in place; ``lanes`` holds the sockets to them.
+    each output, views of one block, as each is dead once the next is formed.
+    The rest is what a branch exchanges with the fold's own process: its
+    ``logits``, its MMD value in ``mmd``, its ``logit_grads`` and the gradient
+    at its target rows (``target_grads``), and the step's MMD weight ``alpha``.
     """
 
-    def __init__(self, config: ModelConfig, sizes: tuple[int, ...], shared: bool):
+    def __init__(self, config: ModelConfig, sizes: tuple[int, ...], kernel: KernelSpec):
         rows, m, dims, n_br = sum(sizes), sizes[-1], config.cfe_dims, len(sizes) - 1
-        self.sizes, self.offsets, self.lanes = sizes, np.cumsum((0,) + sizes), []
-        self.x, *outs, flat = _carve([(rows, config.input_dim)] + [(rows, d) for d in dims[:-1]]
-                                     + [(rows * max(dims[:-1], default=1),)], False)
-        h, q, self.mmd, self.alpha, *ex = _carve(
-            [(rows, dims[-1])] * 2 + [(n_br,), (1,)]
-            + [(n + m, config.num_classes) for n in sizes[:-1]] * 2 + [(m, dims[-1])] * n_br,
-            shared)
-        self.logits, self.logit_grads, self.target_grads = (ex[i:i + n_br]
-                                                            for i in range(0, 3 * n_br, n_br))
-        self.outs = outs + [h]
-        self.grads = [flat[:rows * d].reshape(rows, d) for d in dims[:-1]] + [q]
+        self.sizes, self.kernel, self.offsets, self.lanes = (sizes, kernel,
+                                                             np.cumsum((0,) + sizes), [])
+        self.x, flat, self.mmd, self.alpha, *rest = _carve(
+            [(rows, config.input_dim), (rows * max(dims),), (n_br,), (1,)]
+            + [(rows, d) for d in dims] + [(n + m, config.num_classes) for n in sizes[:-1]] * 2
+            + [(m, dims[-1])] * n_br)
+        self.outs = rest[:len(dims)]
+        self.grads = [flat[:rows * d].reshape(rows, d) for d in dims]
+        self.logits, self.logit_grads, self.target_grads = (
+            rest[i:i + n_br] for i in range(len(dims), len(rest), n_br))
 
 
-def step_buffers(model: MsMdaModel, sizes: tuple[int, ...], shared: bool = False) -> StepBuffers:
-    """``model``'s step buffers for batch ``sizes``, made anew when it holds
-    none for them."""
+def step_buffers(model: MsMdaModel, sizes: tuple[int, ...], kernel: KernelSpec) -> StepBuffers:
+    """``model``'s step buffers for batch ``sizes`` and ``kernel``, made anew,
+    with no lanes, when it holds none for them."""
     held = model.step_buffers
-    if held is None or held.sizes != sizes:
-        held = model.step_buffers = StepBuffers(model.config, sizes, shared)
+    if held is None or held.sizes != sizes or held.kernel != kernel:
+        held = model.step_buffers = StepBuffers(model.config, sizes, kernel)
     return held
 
 
@@ -256,14 +256,15 @@ def _forward(model: MsMdaModel, x: np.ndarray, outs=None):
     return acts, (_branch(branch, h) for branch in model.branches)
 
 
-def branch_forward(model: MsMdaModel, buf: StepBuffers, i: int, kernel: KernelSpec):
+def branch_forward(model: MsMdaModel, buf: StepBuffers, i: int):
     """Branch ``i`` of a step whose extractor output is in ``buf``: its
-    forward on its source rows and the target rows, and their MMD. Writes its
-    logits and MMD value into ``buf``; returns what its backward reads."""
+    forward on its source rows and the target rows, and their MMD by the
+    buffers' kernel. Writes its logits and MMD value into ``buf``; returns
+    what its backward reads."""
     o, n, h = buf.offsets, buf.sizes[i], buf.outs[-1]
     rows = np.vstack([h[o[i]:o[i + 1]], h[o[-2]:]])
     r, _ = _branch(model.branches[i], rows, out=buf.logits[i])
-    buf.mmd[i], g_src, g_tgt = mmd_squared(r[:n], r[n:], kernel)
+    buf.mmd[i], g_src, g_tgt = mmd_squared(r[:n], r[n:], buf.kernel)
     return rows, r, g_src, g_tgt
 
 
@@ -301,18 +302,54 @@ def _lanes_io(lanes, ask=None) -> None:
             raise EOFError(j) from None
 
 
-def serve_lane(model: MsMdaModel, sock, branches: range, kernel: KernelSpec) -> None:
-    """A branch lane's loop over ``model``'s shared step buffers: each
-    ``_FORWARD`` on ``sock`` runs ``branches`` forward, each ``_BACKWARD`` their
+def serve_lane(model: MsMdaModel, sock, j: int, k: int, cpus) -> None:
+    """Branch lane ``j`` of ``k``: pinned to ``cpus`` where they exist, it
+    runs branches j, j + k, ... of each step over ``model``'s step buffers.
+    Each ``_FORWARD`` on ``sock`` runs them forward, each ``_BACKWARD`` their
     backward, and each is answered with its own byte once done. Returns when
-    the fold's process closes its end."""
+    the fold's process is gone."""
+    with contextlib.suppress(OSError):  # a CPU this host does not have: unpinned
+        os.sched_setaffinity(0, cpus)
     buf, saved = model.step_buffers, []
-    while ask := sock.recv(1):
-        if ask == _FORWARD:
-            saved = [(i, branch_forward(model, buf, i, kernel)) for i in branches]
-        while ask == _BACKWARD and saved:
-            branch_backward(model, buf, *saved.pop(0))
-        sock.sendall(ask)
+    with contextlib.suppress(OSError):  # the fold's process is gone
+        while ask := sock.recv(1):
+            if ask == _FORWARD:
+                saved = [(i, branch_forward(model, buf, i))
+                         for i in range(j, model.num_branches, k)]
+            while ask == _BACKWARD and saved:
+                branch_backward(model, buf, *saved.pop(0))
+            sock.sendall(ask)
+
+
+@contextlib.contextmanager
+def branch_lanes(model: MsMdaModel, sizes, kernel: KernelSpec, cpus, died):
+    """With k CPU sets in ``cpus``, pin this process to the first and fork k - 1
+    branch lanes (``serve_lane``), lane j pinned to set j, for ``model``'s
+    steps of batch ``sizes`` and ``kernel``. A set this host does not have
+    pins nothing. A lane that is gone raises ``died(exitcode)``; every lane
+    is stopped, and this process unpinned, when the block ends. With one set
+    or none nothing is pinned or forked."""
+    if len(cpus) < 2:
+        yield
+        return
+    buf = step_buffers(model, sizes, kernel)
+    k, usable = len(cpus), os.sched_getaffinity(0)
+    with forked_children(socket.socketpair) as fork:
+        try:
+            lanes = [fork(lambda end: serve_lane(model, end, j, k, cpus[j])) for j in range(1, k)]
+            buf.lanes[:] = [sock for sock, _ in lanes]
+            # pinned too: unpinned, a task the lane wakes lands on the lane's CPU
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(0, cpus[0])
+            yield
+        except EOFError as exc:
+            proc = lanes[exc.args[0]][1]
+            proc.join()
+            raise died(proc.exitcode) from None
+        finally:
+            buf.lanes.clear()
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(0, usable)
 
 
 def _input_matrix(model: MsMdaModel, x, name: str) -> np.ndarray:
@@ -343,10 +380,10 @@ def compute_losses(
     every parameter's grad buffer (no optimizer step); a non-finite one is
     returned without a backward.
 
-    With k - 1 branch lanes in the step buffers (see ``serve_lane``; they
-    run the kernel they were forked with), this process runs branches 0, k,
-    2k, ... and lane j branches j, j + k, ...; all that mixes branches runs
-    here, in branch order, so the result is that of one process bit for bit.
+    With k - 1 branch lanes in the step buffers (see ``branch_lanes``),
+    this process runs branches 0, k, 2k, ... and lane j branches j, j + k,
+    ...; all that mixes branches runs here, in branch order, so the result
+    is that of one process bit for bit.
     """
     kernel = kernel or KernelSpec()
     if len(source_batches) != model.num_branches:
@@ -361,10 +398,10 @@ def compute_losses(
             raise ValidationError(f"{name} is empty")
     sizes = tuple(f.shape[0] for f in feats)
 
-    buf = step_buffers(model, sizes)
+    buf = step_buffers(model, sizes, kernel)
     acts, _ = _forward(model, np.concatenate(feats, out=buf.x), buf.outs)
     _lanes_io(buf.lanes, _FORWARD)
-    saved = [(i, branch_forward(model, buf, i, kernel))
+    saved = [(i, branch_forward(model, buf, i))
              for i in range(0, model.num_branches, len(buf.lanes) + 1)]
     _lanes_io(buf.lanes)
     probs_tgt = [softmax(logits[n:]) for logits, n in zip(buf.logits, sizes)]

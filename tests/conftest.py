@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import msmda.model
 from msmda.data import NormalizationSpec, SynthConfig
 from msmda.harness import (
     ExperimentConfig,
@@ -48,6 +49,20 @@ def usable_cpus(monkeypatch, count, blas_threads=1):
         monkeypatch.delenv(name, raising=False)
     if blas_threads is not None:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(blas_threads))
+
+
+def record_lanes(monkeypatch, log):
+    """Make every branch lane forked from now on append its branches, as a
+    list, to the file ``log``; returns ``log``."""
+    real_lane = msmda.model.serve_lane
+
+    def recording_lane(model, sock, j, k, cpus):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{list(range(j, model.num_branches, k))}\n")
+        return real_lane(model, sock, j, k, cpus)
+
+    monkeypatch.setattr(msmda.model, "serve_lane", recording_lane)
+    return log
 
 
 def per_seed_results(run_dir):

@@ -162,6 +162,14 @@ class TestExitCodes:
         assert "seeds must be distinct" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_loso_with_synthetic_data_is_validation_error(self, tmp_path, capsys):
+        # synthetic data has one fold per seed, so --loso would be recorded but unused
+        out = tmp_path / "run"
+        assert main(["train", "--synth", synth_json(tmp_path), "--loso",
+                     "--out", str(out)] + FAST) == 1
+        assert "loso" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "gen-synth", "dump-features"])
     def test_out_that_is_a_file_is_data_error(self, tmp_path, capfd, command):
         synth = synth_json(tmp_path)

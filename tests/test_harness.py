@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from conftest import per_seed_results, usable_cpus
+from conftest import per_seed_results, record_lanes, usable_cpus
 from msmda import data, harness
 from msmda.cli import main
 from msmda.data import (
@@ -573,7 +573,7 @@ class TestForkedFolds:
     @pytest.mark.parametrize("source", ["file-grid", "synthetic"])
     def test_outputs_and_log_equal_a_serial_run(self, tmp_path, monkeypatch, source):
         make = self.make_config(tmp_path, source)
-        lanes = TestBranchLanes().lanes_forked(monkeypatch, tmp_path)
+        lanes = record_lanes(monkeypatch, tmp_path / "lanes.txt")
         trees, logs = [], []
         for cpus in (1, 2, 3, 6):
             usable_cpus(monkeypatch, cpus)
@@ -812,25 +812,12 @@ class TestBranchLanes:
                         class_separation=3.0, domain_shift_scale=0.8, noise_std=1.0,
                         rng_seed=0)  # four sources: up to three lanes
 
-    def lanes_forked(self, monkeypatch, tmp_path):
-        """Record each lane's branches in a file the lanes append to."""
-        log = tmp_path / "lanes.txt"
-        real_lane = harness._lane
-
-        def recording_lane(model, sock, branches, *args):
-            with open(log, "a", encoding="utf-8") as fh:
-                fh.write(f"{list(branches)}\n")
-            return real_lane(model, sock, branches, *args)
-
-        monkeypatch.setattr(harness, "_lane", recording_lane)
-        return log
-
     @pytest.mark.parametrize("kind, lr", [("rbf_multiscale", 0.01), ("rbf_fixed", 0.01),
                                           ("rbf_multiscale", 1e154)],
                              ids=["multiscale", "fixed", "diverging"])
     def test_outputs_equal_a_serial_run(self, tmp_path, monkeypatch, kind, lr):
         # four fake CPUs: pinning to CPUs 2 and 3 fails, and those lanes run unpinned
-        log = self.lanes_forked(monkeypatch, tmp_path)
+        log = record_lanes(monkeypatch, tmp_path / "lanes.txt")
         trees, lanes = [], []
         for cpus in (1, 2, 4):
             usable_cpus(monkeypatch, cpus)

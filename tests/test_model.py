@@ -1,4 +1,6 @@
 import copy
+import mmap
+import multiprocessing
 import pickle
 import resource
 import struct
@@ -19,6 +21,7 @@ from msmda.model import (
     _forward,
     arena_size,
     branch_forward,
+    branch_lanes,
     compute_losses,
     extract_branch_features,
     init_model,
@@ -290,6 +293,13 @@ class TestComputeLosses:
                            alpha=0.0, beta=0.0)
 
 
+def owner(array):
+    """The object that owns ``array``'s memory (a mapping's, not a view of it)."""
+    while isinstance(array, np.ndarray) and array.base is not None:
+        array = array.base
+    return getattr(array, "obj", array)  # np.frombuffer's base is a memoryview
+
+
 class TestStepBuffers:
     """The extractor's big arrays live in buffers the model keeps across steps."""
 
@@ -306,6 +316,25 @@ class TestStepBuffers:
         first = self.pointers(model)
         compute_losses(model, *toy_batches(rng), alpha=0.7, beta=0.05)
         assert self.pointers(model) == first
+
+    def test_every_step_array_is_a_view_of_one_shared_mapping(self):
+        # branch lanes forked after the buffers work on all of them in place
+        rng = np.random.default_rng(34)
+        model = init_model(TOY)
+        compute_losses(model, *toy_batches(rng), alpha=0.7, beta=0.05)
+        buf = model.step_buffers
+        owners = {id(owner(a)) for a in [buf.x, *buf.outs, *buf.grads, buf.mmd, buf.alpha,
+                                         *buf.logits, *buf.logit_grads, *buf.target_grads]}
+        assert owners == {id(owner(buf.x))}
+        assert isinstance(owner(buf.x), mmap.mmap)
+
+    def test_last_output_gradient_is_a_view_of_the_gradient_block(self):
+        # each layer's gradient is dead once the next is formed: one block holds them all
+        rng = np.random.default_rng(35)
+        model = init_model(TOY)
+        compute_losses(model, *toy_batches(rng), alpha=0.7, beta=0.05)
+        buf = model.step_buffers
+        assert np.shares_memory(buf.grads[-1], buf.grads[0])
 
     def test_changed_batch_size_trains_as_a_fresh_model(self):
         # each step's result must not depend on what the buffers held before
@@ -347,6 +376,24 @@ class TestStepBuffers:
                        kernel=KernelSpec(kind="rbf_multiscale"))
             faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         assert np.median(faults[2:]) < 100, faults
+
+
+class TestBranchLanes:
+    def test_lanes_run_the_steps_kernel(self):
+        # lanes forked for the multiscale kernel: a step with another kernel
+        # gets fresh buffers and runs every branch in this process
+        config = ModelConfig(num_branches=4, input_dim=6, cfe_dims=(8, 6, 5), dsfe_dim=4,
+                             num_classes=3, rng_seed=11)
+        rng = np.random.default_rng(36)
+        steps = [toy_batches(rng, num_branches=4) for _ in range(3)]
+        serial, laned = init_model(config), init_model(config)
+        for batches, target in steps:
+            train_step(serial, batches, target, alpha=0.5, beta=0.01, kernel=FIXED_KERNEL)
+        with branch_lanes(laned, (5,) * 5, KernelSpec(), [{0}, {1}], DataError):
+            for batches, target in steps:
+                train_step(laned, batches, target, alpha=0.5, beta=0.01, kernel=FIXED_KERNEL)
+        assert multiprocessing.active_children() == []
+        assert laned.arena.value.tobytes() == serial.arena.value.tobytes()
 
 
 class TestTrainStep:
@@ -490,9 +537,9 @@ class TestExtractBranchFeatures:
         batches, target = toy_batches(rng)
         # the step buffers and per-branch forward that compute_losses runs
         feats = [f for f, _ in batches] + [target]
-        buf = step_buffers(model, tuple(f.shape[0] for f in feats))
+        buf = step_buffers(model, tuple(f.shape[0] for f in feats), KernelSpec())
         _forward(model, np.concatenate(feats, out=buf.x), buf.outs)
-        branch_features = [branch_forward(model, buf, i, KernelSpec())[1] for i in range(3)]
+        branch_features = [branch_forward(model, buf, i)[1] for i in range(3)]
         target_features = list(extract_branch_features(model, target))
         for i in range(3):
             n_src = batches[i][0].shape[0]

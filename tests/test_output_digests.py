@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import usable_cpus
+from conftest import record_lanes, usable_cpus
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_digests.py"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -49,3 +49,12 @@ def test_matrix_on_two_usable_cpus_matches_golden_listing(tmp_path, monkeypatch)
     # one BLAS thread each: two processes train the folds, as perfbench runs them
     usable_cpus(monkeypatch, 2)
     assert_matrix_matches_golden_listing((tmp_path / "matrix").resolve())
+
+
+def test_matrix_on_four_usable_cpus_matches_golden_listing(tmp_path, monkeypatch):
+    # one-fold synthetic runs fork branch lanes on the spare CPUs; a run that
+    # forks none would check no lane's bytes
+    lanes = record_lanes(monkeypatch, tmp_path / "lanes.txt")
+    usable_cpus(monkeypatch, 4)
+    assert_matrix_matches_golden_listing((tmp_path / "matrix").resolve())
+    assert len(lanes.read_text().splitlines()) > 0
