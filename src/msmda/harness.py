@@ -435,12 +435,13 @@ def process_bytes(config: ExperimentConfig, task: TransferTask, lanes: int = 1) 
     # one output per layer, a gradient at the widest) and room for two temporaries
     # there, counted twice: that covers the ~200 MiB a paper-shape worker adds
     per_row = 2 * dim + sum(model.cfe_dims) + 3 * max(model.cfe_dims)
-    # a further lane: the interpreter's pages it writes (about 5 MiB) and, counted
-    # twice, its branches' saved arrays and one MMD's distance blocks; 18.7 MiB
-    # at paper shape, where a lane added 16-20 MiB to the tree's summed PSS
+    # a further lane: the interpreter's pages it writes (about 5 MiB), one LeakyReLU
+    # temporary over its row share at the widest layer and, counted twice, its
+    # branches' saved arrays and one MMD's distance blocks; 22.5 MiB at paper shape,
+    # where a lane added 21.9-23.6 MiB to the tree's summed PSS
     b = config.train.batch_size
-    lane = 5 * 2**20 + 2 * 8 * (-(-branches // lanes) * 2 * b * (model.cfe_dims[-1]
-                                                                + 3 * model.dsfe_dim) + 5 * b * b)
+    lane = 5 * 2**20 + 8 * (b * (branches + 1) // lanes) * max(model.cfe_dims) + 2 * 8 * (
+        -(-branches // lanes) * 2 * b * (model.cfe_dims[-1] + 3 * model.dsfe_dim) + 5 * b * b)
     return domains + 4 * 8 * arena_size(model) + 2 * 8 * rows * per_row + (lanes - 1) * lane
 
 

@@ -204,7 +204,8 @@ class StepBuffers:
     pages for them. All are views of one MAP_SHARED mapping, so branch lanes
     forked after it work on them in place; ``lanes`` holds the sockets to them.
 
-    ``x`` is the stacked input, ``outs`` each extractor layer's output (its
+    ``x`` is the stacked input, ``outs`` each extractor layer's output (each
+    process writes its own rows of it, see ``extractor_share``, and its
     backward writes the masked gradient over it) and ``grads`` the gradient at
     each output, views of one block, as each is dead once the next is formed.
     The rest is what a branch exchanges with the fold's own process: its
@@ -256,6 +257,17 @@ def _forward(model: MsMdaModel, x: np.ndarray, outs=None):
     return acts, (_branch(branch, h) for branch in model.branches)
 
 
+def extractor_share(model: MsMdaModel, buf: StepBuffers, j: int, k: int) -> None:
+    """Process j of k's share of the extractor forward: every layer on its
+    contiguous rows of ``buf.x``, written into the same rows of ``buf.outs``;
+    each row's output is that of the whole matrix bit for bit. A share of one
+    row would take numpy's one-row path, with other bits, so when a share
+    would hold fewer than 2 rows the fold's own process (j = 0) runs them all."""
+    n = buf.x.shape[0]
+    rows = slice(n * j // k, n * (j + 1) // k) if n >= 2 * k else slice(0, 0 if j else n)
+    _forward(model, buf.x[rows], [out[rows] for out in buf.outs])
+
+
 def branch_forward(model: MsMdaModel, buf: StepBuffers, i: int):
     """Branch ``i`` of a step whose extractor output is in ``buf``: its
     forward on its source rows and the target rows, and their MMD by the
@@ -286,7 +298,7 @@ def branch_backward(model: MsMdaModel, buf: StepBuffers, i: int, saved) -> None:
     buf.target_grads[i][...] = g_joined[n:]
 
 
-_FORWARD, _BACKWARD = b"f", b"b"
+_EXTRACT, _FORWARD, _BACKWARD, _WEIGHTS = b"x", b"f", b"b", b"w"
 
 
 def _lanes_io(lanes, ask=None) -> None:
@@ -304,20 +316,31 @@ def _lanes_io(lanes, ask=None) -> None:
 
 def serve_lane(model: MsMdaModel, sock, j: int, k: int, cpus) -> None:
     """Branch lane ``j`` of ``k``: pinned to ``cpus`` where they exist, it
-    runs branches j, j + k, ... of each step over ``model``'s step buffers.
-    Each ``_FORWARD`` on ``sock`` runs them forward, each ``_BACKWARD`` their
-    backward, and each is answered with its own byte once done. Returns when
-    the fold's process is gone."""
+    runs share j of each step's extractor forward and branches j, j + k, ...
+    over ``model``'s step buffers. On ``sock``, each ``_EXTRACT`` runs that
+    share, each ``_FORWARD`` the branches forward, each ``_BACKWARD`` their
+    backward, and each ``_WEIGHTS`` (sent to lane 1 only) the weight and bias
+    gradients of the next extractor layer down from the last, from its
+    output's masked gradient and its input; each is answered with its own
+    byte once done. Returns when the fold's process is gone."""
     with contextlib.suppress(OSError):  # a CPU this host does not have: unpinned
         os.sched_setaffinity(0, cpus)
-    buf, saved = model.step_buffers, []
+    buf, saved, layer = model.step_buffers, [], 0
     with contextlib.suppress(OSError):  # the fold's process is gone
         while ask := sock.recv(1):
+            if ask == _EXTRACT:
+                extractor_share(model, buf, j, k)
             if ask == _FORWARD:
                 saved = [(i, branch_forward(model, buf, i))
                          for i in range(j, model.num_branches, k)]
-            while ask == _BACKWARD and saved:
-                branch_backward(model, buf, *saved.pop(0))
+            if ask == _BACKWARD:
+                while saved:
+                    branch_backward(model, buf, *saved.pop(0))
+                layer = len(model.cfe)
+            if ask == _WEIGHTS:
+                layer -= 1
+                model.cfe[layer].backward(buf.outs[layer - 1], buf.outs[layer],
+                                          input_grad=False)
             sock.sendall(ask)
 
 
@@ -381,9 +404,13 @@ def compute_losses(
     returned without a backward.
 
     With k - 1 branch lanes in the step buffers (see ``branch_lanes``),
-    this process runs branches 0, k, 2k, ... and lane j branches j, j + k,
-    ...; all that mixes branches runs here, in branch order, so the result
-    is that of one process bit for bit.
+    this process and each lane run their own rows of the extractor forward
+    (``extractor_share``); this process runs branches 0, k, 2k, ... and lane
+    j branches j, j + k, ...; lane 1 forms the extractor's weight gradients
+    above its first layer while this process runs the input-gradient chain.
+    Every product a process runs is the one a single process runs, or a row
+    share of it, and all that mixes branches runs here, in branch order, so
+    the result is that of one process bit for bit.
     """
     kernel = kernel or KernelSpec()
     if len(source_batches) != model.num_branches:
@@ -399,10 +426,13 @@ def compute_losses(
     sizes = tuple(f.shape[0] for f in feats)
 
     buf = step_buffers(model, sizes, kernel)
-    acts, _ = _forward(model, np.concatenate(feats, out=buf.x), buf.outs)
+    k = len(buf.lanes) + 1
+    np.concatenate(feats, out=buf.x)
+    _lanes_io(buf.lanes, _EXTRACT)
+    extractor_share(model, buf, 0, k)
+    _lanes_io(buf.lanes)
     _lanes_io(buf.lanes, _FORWARD)
-    saved = [(i, branch_forward(model, buf, i))
-             for i in range(0, model.num_branches, len(buf.lanes) + 1)]
+    saved = [(i, branch_forward(model, buf, i)) for i in range(0, model.num_branches, k)]
     _lanes_io(buf.lanes)
     probs_tgt = [softmax(logits[n:]) for logits, n in zip(buf.logits, sizes)]
     cls_value, cls_grads = classification_loss(
@@ -427,13 +457,18 @@ def compute_losses(
     target_rows = grad_q[buf.offsets[-2]:]
     for part in buf.target_grads:
         target_rows += part
-    g = grad_q
-    # the first layer's input is the data batch: no gradient wanted there
-    for layer, grad_in in zip(reversed(model.cfe), reversed([None] + buf.grads[:-1])):
-        out = acts.pop()
+    # lane 1 forms the weight gradients of layers 2..L beside this input-gradient
+    # chain; the first layer's, with no product left to run beside it, runs here
+    g, acts = grad_q, [buf.x] + buf.outs
+    for i in reversed(range(len(model.cfe))):
         # the masked gradient overwrites the layer's output, which nothing reads after it
-        g = layer.backward(acts[-1], leaky_relu_backward(g, out, LEAKY_SLOPE, out=out),
-                           input_grad=grad_in is not None, out=grad_in)
+        masked = leaky_relu_backward(g, acts[i + 1], LEAKY_SLOPE, out=acts[i + 1])
+        lane = buf.lanes[:1] if i else []
+        _lanes_io(lane, _WEIGHTS)
+        # the first layer's input is the data batch: no gradient wanted there
+        g = model.cfe[i].backward(acts[i], masked, input_grad=i > 0,
+                                  out=buf.grads[i - 1] if i else None, param_grads=not lane)
+        _lanes_io(lane)  # the lane reads this layer's input, which the next mask overwrites
     return breakdown
 
 

@@ -103,11 +103,12 @@ class LinearLayer:
         y += self.bias.value
         return y
 
-    def backward(self, x, grad_out, input_grad: bool = True, out=None) -> np.ndarray | None:
-        """Accumulate the weight and bias gradients at forward input ``x``;
-        return the gradient with respect to ``x``, written into ``out`` when
-        given, or None without ``input_grad`` (a first layer, whose input is
-        the data)."""
+    def backward(self, x, grad_out, input_grad: bool = True, out=None,
+                 param_grads: bool = True) -> np.ndarray | None:
+        """Accumulate the weight and bias gradients at forward input ``x``
+        (not without ``param_grads``: another process forms them); return the
+        gradient with respect to ``x``, written into ``out`` when given, or
+        None without ``input_grad`` (a first layer, whose input is the data)."""
         x = self._input(x)
         grad_out = as_matrix(grad_out, "grad_out", require_finite=False)
         expected = (x.shape[0], self.weight.shape[1])
@@ -116,8 +117,9 @@ class LinearLayer:
                 f"grad_out shape {grad_out.shape} does not match forward "
                 f"output shape {expected}"
             )
-        self.weight.grad += x.T @ grad_out
-        self.bias.grad += grad_out.sum(axis=0, keepdims=True)
+        if param_grads:
+            self.weight.grad += x.T @ grad_out
+            self.bias.grad += grad_out.sum(axis=0, keepdims=True)
         return np.matmul(grad_out, self.weight.value.T, out=out) if input_grad else None
 
     def parameters(self) -> list[Parameter]:

@@ -1,8 +1,10 @@
 """tools/bench_pairs.py's summary of hand-made run records: medians, wins and
 the no-regression verdict against each end-to-end metric's bound."""
 
+import hashlib
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
@@ -72,3 +74,26 @@ def test_a_bound_on_a_zero_median_allows_no_loss():
     assert summary["0"]["w"]["target_acc"]["within_bound"] is True
     assert summary["0"]["w"]["sweep_s"]["within_bound"] is False  # median 0.05 > 0
     assert tool.out_of_bound(summary) == [["w", "sweep_s"]]
+
+
+def test_a_dirty_checkout_is_recorded_with_its_diff(tmp_path):
+    # an uncommitted change must not read as its parent's commit alone
+    tool = load_tool()
+
+    def git(*args):
+        return subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t",
+                               "-c", "user.email=t@example.com", *args],
+                              capture_output=True, check=True).stdout
+
+    git("init", "-q")
+    (tmp_path / "step.py").write_text("rows = 1\n")
+    git("add", "step.py")
+    git("commit", "-q", "-m", "parent")
+    head = git("rev-parse", "HEAD").decode().strip()
+    assert tool.git_state(str(tmp_path)) == {"head": head, "dirty": False,
+                                             "diff_sha256": None}
+    (tmp_path / "step.py").write_text("rows = 2\n")
+    diff = git("diff", "HEAD")
+    assert b"+rows = 2" in diff
+    assert tool.git_state(str(tmp_path)) == {
+        "head": head, "dirty": True, "diff_sha256": hashlib.sha256(diff).hexdigest()}

@@ -812,42 +812,69 @@ class TestBranchLanes:
                         class_separation=3.0, domain_shift_scale=0.8, noise_std=1.0,
                         rng_seed=0)  # four sources: up to three lanes
 
-    @pytest.mark.parametrize("kind, lr", [("rbf_multiscale", 0.01), ("rbf_fixed", 0.01),
-                                          ("rbf_multiscale", 1e154)],
-                             ids=["multiscale", "fixed", "diverging"])
-    def test_outputs_equal_a_serial_run(self, tmp_path, monkeypatch, kind, lr):
-        # four fake CPUs: pinning to CPUs 2 and 3 fails, and those lanes run unpinned
+    @pytest.mark.parametrize("kind, lr, batch", [
+        ("rbf_multiscale", 0.01, 32), ("rbf_fixed", 0.01, 32), ("rbf_multiscale", 1e154, 32),
+        ("rbf_multiscale", 0.01, 1),
+    ], ids=["multiscale", "fixed", "diverging", "one-row-batches"])
+    def test_outputs_equal_a_serial_run(self, tmp_path, monkeypatch, kind, lr, batch):
+        # more than two fake CPUs: pinning to CPUs 2 and 3 fails, and those lanes run
+        # unpinned. Three take uneven row shares of 160 rows, as no extractor width
+        # (12, 10, 8) divides by three. One-row batches stack 5 rows, where three or
+        # four shares would hold a single row: the fold's process runs them all
         log = record_lanes(monkeypatch, tmp_path / "lanes.txt")
         trees, lanes = [], []
-        for cpus in (1, 2, 4):
+        for cpus in (1, 2, 3, 4):
             usable_cpus(monkeypatch, cpus)
             out = tmp_path / f"cpus{cpus}"
             run_experiment(small_config(synth=self.synth, kernel=KernelSpec(kind=kind),
-                                        train=TrainConfig(epochs=3, batch_size=32, lr=lr),
+                                        train=TrainConfig(epochs=3, batch_size=batch, lr=lr),
                                         out_dir=str(out)))
             assert multiprocessing.active_children() == []
             trees.append(out_tree(out))
             lanes.append(sorted(log.read_text().splitlines()) if log.exists() else [])
             log.unlink(missing_ok=True)
-        assert lanes == [[], ["[1, 3]"], ["[1]", "[2]", "[3]"]]
-        assert trees[1] == trees[0] and trees[2] == trees[0]
+        assert lanes == [[], ["[1, 3]"], ["[1]", "[2]"], ["[1]", "[2]", "[3]"]]
+        assert trees[1:] == [trees[0]] * 3
         summary = json.loads(trees[0]["summary.json"])
         assert summary["aborted_folds"] == ([{"fold_id": "synthetic", "seed": 0}]
                                             if lr > 1 else [])
 
+    @staticmethod
+    def kill_lanes_at_fifth_call(monkeypatch, owner, name, in_task=lambda *a, **kw: True):
+        """Make ``owner.name`` SIGKILL a lane (any process but this one) at
+        its fifth call that ``in_task`` accepts: mid-fold."""
+        real, test_pid, calls = getattr(owner, name), os.getpid(), []
+
+        def dying(*args, **kwargs):
+            if os.getpid() != test_pid and in_task(*args, **kwargs):
+                calls.append(os.getpid())  # a lane's calls: those under its own pid
+                if calls.count(os.getpid()) == 5:
+                    os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, dying)
+
     def test_lane_death_is_a_data_error(self, tmp_path, monkeypatch, capfd):
         import msmda.model
 
-        real_branch_forward = msmda.model.branch_forward
-        test_pid, calls = os.getpid(), []
+        self.kill_lanes_at_fifth_call(monkeypatch, msmda.model, "branch_forward")
+        self.assert_lane_death_is_a_data_error(tmp_path, monkeypatch, capfd)
 
-        def dying_branch_forward(*args):
-            calls.append(os.getpid())  # a lane's calls: those under its own pid
-            if os.getpid() != test_pid and calls.count(os.getpid()) == 5:  # mid-fold
-                os.kill(os.getpid(), signal.SIGKILL)
-            return real_branch_forward(*args)
+    def test_lane_death_in_its_extractor_share_is_a_data_error(self, tmp_path, monkeypatch,
+                                                               capfd):
+        import msmda.model
 
-        monkeypatch.setattr(msmda.model, "branch_forward", dying_branch_forward)
+        self.kill_lanes_at_fifth_call(monkeypatch, msmda.model, "extractor_share")
+        self.assert_lane_death_is_a_data_error(tmp_path, monkeypatch, capfd)
+
+    def test_lane_death_in_a_weight_gradient_is_a_data_error(self, tmp_path, monkeypatch,
+                                                             capfd):
+        # a lane's weight-gradient task is the one backward it runs with no input gradient
+        self.kill_lanes_at_fifth_call(monkeypatch, LinearLayer, "backward",
+                                      lambda *a, input_grad=True, **kw: not input_grad)
+        self.assert_lane_death_is_a_data_error(tmp_path, monkeypatch, capfd)
+
+    def assert_lane_death_is_a_data_error(self, tmp_path, monkeypatch, capfd):
         usable_cpus(monkeypatch, 2)
         message = "fold synthetic (seed 0): its branch lane exited with code -9"
         with pytest.raises(data.DataError, match=re.escape(message)):

@@ -227,10 +227,10 @@ class TestComputeLosses:
 
         backward, flags = LinearLayer.backward, []
 
-        def always_input_grad(layer, x, grad_out, input_grad=True, out=None):
+        def always_input_grad(layer, x, grad_out, input_grad=True, out=None, **kwargs):
             if any(layer is c for c in reference.cfe):
                 flags.append(input_grad)
-            return backward(layer, x, grad_out, out=out)
+            return backward(layer, x, grad_out, out=out, **kwargs)
 
         monkeypatch.setattr(LinearLayer, "backward", always_input_grad)
         compute_losses(reference, batches, target, alpha=0.7, beta=0.05)
@@ -394,6 +394,25 @@ class TestBranchLanes:
                 train_step(laned, batches, target, alpha=0.5, beta=0.01, kernel=FIXED_KERNEL)
         assert multiprocessing.active_children() == []
         assert laned.arena.value.tobytes() == serial.arena.value.tobytes()
+
+    def test_paper_shape_step_equals_one_process(self):
+        # 15 stacked batches of 256 x 310 in two or three row shares, 14 branches,
+        # the extractor's upper weight gradients formed by lane 1
+        rng = np.random.default_rng(37)
+        batches, target = toy_batches(rng, num_branches=14, rows=256, dim=310)
+        kernel = KernelSpec(kind="rbf_multiscale")
+        results = []
+        for cpus in ([{0}], [{0}, {1}], [{0}, {1}, {2}]):
+            model = init_model(ModelConfig(num_branches=14, rng_seed=1))
+            with branch_lanes(model, (256,) * 15, kernel, cpus, DataError):
+                bd = compute_losses(model, batches, target, alpha=0.5, beta=0.01,
+                                    kernel=kernel)
+                assert len(model.step_buffers.lanes) == len(cpus) - 1
+                grad = model.arena.grad.tobytes()
+                adam_step(model.arena, 0.01)
+            results.append((bd, grad, model.arena.value.tobytes()))
+        assert multiprocessing.active_children() == []
+        assert results[1:] == [results[0]] * 2
 
 
 class TestTrainStep:

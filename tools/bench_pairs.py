@@ -27,6 +27,9 @@ than that fraction of it. The top-level ``out_of_bound`` lists every
 ``[workload, metric]`` that breaks its bound. A ``--claim W:METRIC`` is met
 when the change wins at least 9 pairs in 10 and its median beats the
 parent's by more than the parent's IQR.
+Each side's ``git rev-parse HEAD`` is recorded as ``parent``/``change``; a
+side whose files differ from it reads ``<side>_dirty: true`` and
+``<side>_diff_sha256``, the sha256 of its ``git diff HEAD``.
 The file is rewritten after every run, and ``--append`` adds the runs to
 those already in ``--out``, so a series can be made in several calls.
 This script only reads ``perfbench/`` and ``BENCHMARK.json``.
@@ -35,6 +38,7 @@ This script only reads ``perfbench/`` and ``BENCHMARK.json``.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
@@ -53,10 +57,19 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def git_head(checkout: str) -> str | None:
-    proc = subprocess.run(["git", "-C", checkout, "rev-parse", "HEAD"],
-                          capture_output=True, text=True)
-    return proc.stdout.strip() if proc.returncode == 0 else None
+def git_state(checkout: str) -> dict:
+    """The checkout's ``head`` commit and whether ``git status --porcelain``
+    lists changes (``dirty``), and for a dirty one ``diff_sha256``, the sha256
+    of ``git diff HEAD`` (None when clean), so an uncommitted change is not
+    recorded under its parent's hash alone."""
+    def git(*args):
+        proc = subprocess.run(["git", "-C", checkout, *args], capture_output=True)
+        return proc.stdout if proc.returncode == 0 else None
+
+    head, status = git("rev-parse", "HEAD"), git("status", "--porcelain")
+    return {"head": head.decode().strip() if head else None, "dirty": bool(status),
+            "diff_sha256": hashlib.sha256(git("diff", "HEAD") or b"").hexdigest()
+            if status else None}
 
 
 def run_one(checkout: str, workload: str, seed: int, seconds: float, trace: int,
@@ -199,8 +212,10 @@ def main(argv=None) -> int:
             doc = json.load(fh)
     doc["what"] = args.what or doc.get("what", "")
     doc["claim_specs"] = sorted(set(doc["claim_specs"]) | set(args.claim))
-    doc["parent"] = git_head(checkouts["parent"])
-    doc["change"] = git_head(checkouts["change"])
+    for side, checkout in checkouts.items():
+        state = git_state(checkout)
+        doc[side], doc[f"{side}_dirty"] = state["head"], state["dirty"]
+        doc[f"{side}_diff_sha256"] = state["diff_sha256"]
     doc["procedure"] = (
         "tools/bench_pairs.py: per workload and seed, perfbench/run.py once per checkout, "
         "back to back with the same seed; even pairs run the parent first, odd pairs the "
