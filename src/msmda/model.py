@@ -259,12 +259,14 @@ def _forward(model: MsMdaModel, x: np.ndarray, outs=None):
 
 def extractor_share(model: MsMdaModel, buf: StepBuffers, j: int, k: int) -> None:
     """Process j of k's share of the extractor forward: every layer on its
-    contiguous rows of ``buf.x``, written into the same rows of ``buf.outs``;
-    each row's output is that of the whole matrix bit for bit. A share of one
-    row would take numpy's one-row path, with other bits, so when a share
-    would hold fewer than 2 rows the fold's own process (j = 0) runs them all."""
+    contiguous rows of ``buf.x``, written into the same rows of ``buf.outs``,
+    bit for bit those of the whole matrix: cuts fall on multiples of 8 rows, a
+    GEMM micro-kernel's row blocks (OpenBLAS's Haswell kernels give a share cut
+    at an odd row other bits). A one-row share would take numpy's gemv path,
+    so with under 8k rows (a share under 2 rows) process 0 runs them all."""
     n = buf.x.shape[0]
-    rows = slice(n * j // k, n * (j + 1) // k) if n >= 2 * k else slice(0, 0 if j else n)
+    stop = n * (j + 1) // k // 8 * 8 if j + 1 < k else n
+    rows = slice(n * j // k // 8 * 8, stop) if n >= 8 * k else slice(0, 0 if j else n)
     _forward(model, buf.x[rows], [out[rows] for out in buf.outs])
 
 
@@ -298,7 +300,30 @@ def branch_backward(model: MsMdaModel, buf: StepBuffers, i: int, saved) -> None:
     buf.target_grads[i][...] = g_joined[n:]
 
 
-_EXTRACT, _FORWARD, _BACKWARD, _WEIGHTS = b"x", b"f", b"b", b"w"
+_EXTRACT, _FORWARD, _BACKWARD, _LAYER = range(4)
+_ASK = struct.Struct("<BI")  # (task, extractor layer), one packet each way
+
+
+def _run_task(model: MsMdaModel, buf: StepBuffers, saved: list, ask, j: int, k: int) -> None:
+    """Process j of k's part of step task ``ask``, a (task, layer) pair:
+    ``_EXTRACT`` its extractor share, ``_FORWARD`` and ``_BACKWARD`` its
+    branches j, j + k, ... (``saved`` keeps their forward for their backward),
+    ``_LAYER`` that extractor layer's backward from its masked output gradient:
+    process 0 forms the input gradient, and lane 1 the parameter gradients of
+    a layer above the first where there is a lane (else process 0)."""
+    task, layer = ask
+    if task == _EXTRACT:
+        extractor_share(model, buf, j, k)
+    elif task == _FORWARD:
+        saved += [(i, branch_forward(model, buf, i)) for i in range(j, model.num_branches, k)]
+    elif task == _BACKWARD:
+        while saved:  # release each branch's activations once consumed, for a lower peak
+            branch_backward(model, buf, *saved.pop(0))
+    elif task == _LAYER:
+        # the first layer's input is the data batch: no gradient wanted there
+        x, out = (buf.outs[layer - 1], buf.grads[layer - 1]) if layer else (buf.x, None)
+        model.cfe[layer].backward(x, buf.outs[layer], input_grad=j == 0 < layer, out=out,
+                                  param_grads=j > 0 or k == 1 or layer == 0)
 
 
 def _lanes_io(lanes, ask=None) -> None:
@@ -307,40 +332,32 @@ def _lanes_io(lanes, ask=None) -> None:
     for j, sock in enumerate(lanes):
         try:
             if ask:
-                sock.sendall(ask)
-            elif not sock.recv(1):
+                sock.sendall(_ASK.pack(*ask))
+            elif not sock.recv(_ASK.size):
                 raise OSError
         except OSError:
             raise EOFError(j) from None
 
 
+def _step_task(model: MsMdaModel, buf: StepBuffers, saved: list, ask, lanes, k: int) -> None:
+    """Send ``ask`` to ``lanes``, run process 0's part here, await the lanes."""
+    if lanes:
+        _lanes_io(lanes, ask)
+    _run_task(model, buf, saved, ask, 0, k)
+    if lanes:
+        _lanes_io(lanes)
+
+
 def serve_lane(model: MsMdaModel, sock, j: int, k: int, cpus) -> None:
-    """Branch lane ``j`` of ``k``: pinned to ``cpus`` where they exist, it
-    runs share j of each step's extractor forward and branches j, j + k, ...
-    over ``model``'s step buffers. On ``sock``, each ``_EXTRACT`` runs that
-    share, each ``_FORWARD`` the branches forward, each ``_BACKWARD`` their
-    backward, and each ``_WEIGHTS`` (sent to lane 1 only) the weight and bias
-    gradients of the next extractor layer down from the last, from its
-    output's masked gradient and its input; each is answered with its own
-    byte once done. Returns when the fold's process is gone."""
+    """Branch lane ``j`` of ``k``, pinned to ``cpus`` where they exist: runs its part
+    of each step task asked on ``sock``, answers with the ask, and keeps only its
+    branches' saved forward between asks. Returns once the fold's process is gone."""
     with contextlib.suppress(OSError):  # a CPU this host does not have: unpinned
         os.sched_setaffinity(0, cpus)
-    buf, saved, layer = model.step_buffers, [], 0
+    saved = []
     with contextlib.suppress(OSError):  # the fold's process is gone
-        while ask := sock.recv(1):
-            if ask == _EXTRACT:
-                extractor_share(model, buf, j, k)
-            if ask == _FORWARD:
-                saved = [(i, branch_forward(model, buf, i))
-                         for i in range(j, model.num_branches, k)]
-            if ask == _BACKWARD:
-                while saved:
-                    branch_backward(model, buf, *saved.pop(0))
-                layer = len(model.cfe)
-            if ask == _WEIGHTS:
-                layer -= 1
-                model.cfe[layer].backward(buf.outs[layer - 1], buf.outs[layer],
-                                          input_grad=False)
+        while ask := sock.recv(_ASK.size):
+            _run_task(model, model.step_buffers, saved, _ASK.unpack(ask), j, k)
             sock.sendall(ask)
 
 
@@ -357,7 +374,7 @@ def branch_lanes(model: MsMdaModel, sizes, kernel: KernelSpec, cpus, died):
         return
     buf = step_buffers(model, sizes, kernel)
     k, usable = len(cpus), os.sched_getaffinity(0)
-    with forked_children(socket.socketpair) as fork:
+    with forked_children(lambda: socket.socketpair(type=socket.SOCK_SEQPACKET)) as fork:
         try:
             lanes = [fork(lambda end: serve_lane(model, end, j, k, cpus[j])) for j in range(1, k)]
             buf.lanes[:] = [sock for sock, _ in lanes]
@@ -425,15 +442,11 @@ def compute_losses(
             raise ValidationError(f"{name} is empty")
     sizes = tuple(f.shape[0] for f in feats)
 
-    buf = step_buffers(model, sizes, kernel)
+    buf, saved = step_buffers(model, sizes, kernel), []
     k = len(buf.lanes) + 1
     np.concatenate(feats, out=buf.x)
-    _lanes_io(buf.lanes, _EXTRACT)
-    extractor_share(model, buf, 0, k)
-    _lanes_io(buf.lanes)
-    _lanes_io(buf.lanes, _FORWARD)
-    saved = [(i, branch_forward(model, buf, i)) for i in range(0, model.num_branches, k)]
-    _lanes_io(buf.lanes)
+    _step_task(model, buf, saved, (_EXTRACT, 0), buf.lanes, k)
+    _step_task(model, buf, saved, (_FORWARD, 0), buf.lanes, k)
     probs_tgt = [softmax(logits[n:]) for logits, n in zip(buf.logits, sizes)]
     cls_value, cls_grads = classification_loss(
         [logits[:n] for logits, n in zip(buf.logits, sizes)], [y for _, y in source_batches])
@@ -449,26 +462,16 @@ def compute_losses(
                                          sizes):
         g[:n] = g_cls
         g[n:] = softmax_backward(beta * g_disc, probs)
-    _lanes_io(buf.lanes, _BACKWARD)
-    # release each branch's activations once consumed, for a lower peak
-    while saved:
-        branch_backward(model, buf, *saved.pop(0))
-    _lanes_io(buf.lanes)
+    _step_task(model, buf, saved, (_BACKWARD, 0), buf.lanes, k)
     target_rows = grad_q[buf.offsets[-2]:]
     for part in buf.target_grads:
         target_rows += part
     # lane 1 forms the weight gradients of layers 2..L beside this input-gradient
-    # chain; the first layer's, with no product left to run beside it, runs here
-    g, acts = grad_q, [buf.x] + buf.outs
+    # chain; it reads the layer's input, which the next mask overwrites
     for i in reversed(range(len(model.cfe))):
         # the masked gradient overwrites the layer's output, which nothing reads after it
-        masked = leaky_relu_backward(g, acts[i + 1], LEAKY_SLOPE, out=acts[i + 1])
-        lane = buf.lanes[:1] if i else []
-        _lanes_io(lane, _WEIGHTS)
-        # the first layer's input is the data batch: no gradient wanted there
-        g = model.cfe[i].backward(acts[i], masked, input_grad=i > 0,
-                                  out=buf.grads[i - 1] if i else None, param_grads=not lane)
-        _lanes_io(lane)  # the lane reads this layer's input, which the next mask overwrites
+        leaky_relu_backward(buf.grads[i], buf.outs[i], LEAKY_SLOPE, out=buf.outs[i])
+        _step_task(model, buf, saved, (_LAYER, i), buf.lanes[:1] if i else [], k)
     return breakdown
 
 

@@ -1,10 +1,16 @@
 import copy
+import json
 import mmap
 import multiprocessing
+import os
 import pickle
 import resource
+import signal
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +51,52 @@ from msmda.neuralcore import (
 TOY = ModelConfig(num_branches=3, input_dim=6, cfe_dims=(8, 6, 5),
                   dsfe_dim=4, num_classes=3, rng_seed=11)
 FIXED_KERNEL = KernelSpec(kind="rbf_fixed", fixed_bandwidth=1.0)
+ROOT = Path(__file__).resolve().parents[1]
+
+# the CPU flags each OpenBLAS core's kernels need
+BLAS_CORES = {"Haswell": {"avx2", "fma"}, "SkylakeX": {"avx512f", "avx512bw", "avx512vl"},
+              "Sandybridge": {"avx"}, "Nehalem": {"sse4_2"}}
+
+# Prints the BLAS core in use and each (extractor depth, rows, k) whose arena
+# bytes after three steps with Adam differ from one process's. Four sources
+# and a target of 35, 37 or 50 rows stack 175, 185 or 250 rows: odd halves
+# and thirds, so a share cut at n * j // k would start at an odd row.
+CORE_MATRIX = """
+import json
+import numpy as np
+from msmda.errors import DataError
+from msmda.losses import KernelSpec
+from msmda.model import ModelConfig, branch_lanes, init_model, train_step
+from output_digests import blas_core
+
+kernel, differ = KernelSpec(kind="rbf_multiscale"), []
+for depth in (1, 2, 3, 5):
+    config = ModelConfig(num_branches=4, input_dim=9, cfe_dims=(12, 11, 10, 9, 8)[:depth],
+                         dsfe_dim=6, num_classes=3, rng_seed=depth)
+    for rows in (35, 37, 50):
+        rng = np.random.default_rng(rows)
+        steps = [([(rng.uniform(-1, 1, (rows, 9)), rng.integers(0, 3, rows)) for _ in range(4)],
+                  rng.uniform(-1, 1, (rows, 9))) for _ in range(3)]
+        arenas = []
+        for k in (1, 2, 3, 4):
+            model = init_model(config)
+            with branch_lanes(model, (rows,) * 5, kernel, [{j} for j in range(k)], DataError):
+                for batches, target in steps:
+                    train_step(model, batches, target, alpha=0.5, beta=0.01, kernel=kernel)
+                assert len(model.step_buffers.lanes) == k - 1
+            arenas.append(model.arena.value.tobytes())
+        differ += [[depth, 5 * rows, k] for k, a in zip((2, 3, 4), arenas[1:]) if a != arenas[0]]
+print(json.dumps([blas_core(), differ]))
+"""
+
+
+def cpu_flags() -> set:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            return next((set(line.partition(":")[2].split()) for line in fh
+                         if line.startswith("flags")), set())
+    except OSError:
+        return set()
 
 
 def toy_batches(rng, num_branches=3, rows=5, dim=6, num_classes=3):
@@ -413,6 +465,23 @@ class TestBranchLanes:
             results.append((bd, grad, model.arena.value.tobytes()))
         assert multiprocessing.active_children() == []
         assert results[1:] == [results[0]] * 2
+
+    @pytest.mark.parametrize("core", BLAS_CORES)
+    def test_lane_bytes_equal_one_process_on_every_blas_core(self, core):
+        # OpenBLAS reads OPENBLAS_CORETYPE when numpy loads it: one interpreter per core
+        if not BLAS_CORES[core] <= cpu_flags():
+            pytest.skip(f"this CPU lacks the flags OpenBLAS's {core} kernels need")
+        env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tools")]))
+        proc = subprocess.run([sys.executable, "-c", CORE_MATRIX], env=env, capture_output=True,
+                              text=True, timeout=60)
+        if proc.returncode == -signal.SIGILL:
+            pytest.skip(f"OpenBLAS's {core} kernels die with SIGILL on this CPU")
+        assert proc.returncode == 0, proc.stderr
+        used, differ = json.loads(proc.stdout)
+        if used != core:
+            pytest.skip(f"this numpy's BLAS runs {used} kernels, not {core}")
+        assert differ == [], f"[depth, rows, k] unlike one process under {core}"
 
 
 class TestTrainStep:
