@@ -339,11 +339,11 @@ def _lanes_io(lanes, ask=None) -> None:
             raise EOFError(j) from None
 
 
-def _step_task(model: MsMdaModel, buf: StepBuffers, saved: list, ask, lanes, k: int) -> None:
+def _step_task(model: MsMdaModel, buf: StepBuffers, saved: list, ask, lanes) -> None:
     """Send ``ask`` to ``lanes``, run process 0's part here, await the lanes."""
     if lanes:
         _lanes_io(lanes, ask)
-    _run_task(model, buf, saved, ask, 0, k)
+    _run_task(model, buf, saved, ask, 0, len(buf.lanes) + 1)
     if lanes:
         _lanes_io(lanes)
 
@@ -443,10 +443,9 @@ def compute_losses(
     sizes = tuple(f.shape[0] for f in feats)
 
     buf, saved = step_buffers(model, sizes, kernel), []
-    k = len(buf.lanes) + 1
     np.concatenate(feats, out=buf.x)
-    _step_task(model, buf, saved, (_EXTRACT, 0), buf.lanes, k)
-    _step_task(model, buf, saved, (_FORWARD, 0), buf.lanes, k)
+    _step_task(model, buf, saved, (_EXTRACT, 0), buf.lanes)
+    _step_task(model, buf, saved, (_FORWARD, 0), buf.lanes)
     probs_tgt = [softmax(logits[n:]) for logits, n in zip(buf.logits, sizes)]
     cls_value, cls_grads = classification_loss(
         [logits[:n] for logits, n in zip(buf.logits, sizes)], [y for _, y in source_batches])
@@ -462,7 +461,7 @@ def compute_losses(
                                          sizes):
         g[:n] = g_cls
         g[n:] = softmax_backward(beta * g_disc, probs)
-    _step_task(model, buf, saved, (_BACKWARD, 0), buf.lanes, k)
+    _step_task(model, buf, saved, (_BACKWARD, 0), buf.lanes)
     target_rows = grad_q[buf.offsets[-2]:]
     for part in buf.target_grads:
         target_rows += part
@@ -471,7 +470,7 @@ def compute_losses(
     for i in reversed(range(len(model.cfe))):
         # the masked gradient overwrites the layer's output, which nothing reads after it
         leaky_relu_backward(buf.grads[i], buf.outs[i], LEAKY_SLOPE, out=buf.outs[i])
-        _step_task(model, buf, saved, (_LAYER, i), buf.lanes[:1] if i else [], k)
+        _step_task(model, buf, saved, (_LAYER, i), buf.lanes[:1] if i else [])
     return breakdown
 
 
