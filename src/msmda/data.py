@@ -487,16 +487,16 @@ def _load_cell(path, cell, num_classes) -> DomainDataset:
 
 
 @contextlib.contextmanager
-def forked_children(make_pair):
-    """Yield ``fork(run)``: it makes a connection pair with ``make_pair``,
-    forks a child that at once calls ``run`` with the pair's second end, and
-    returns the first end and the child's process. Each child is recorded
-    with SIGINT held back, so a Ctrl-C at a fork is raised after it, neither
-    lost in the fork's after-fork callbacks nor leaving a child this block
-    does not stop. A child ignores SIGINT, as its parent stops it, and closes
-    the parent's ends, so the parent's exit reads as EOF there; the parent
-    closes the child's end, so the child's exit reads as EOF here. When the
-    block ends every child is stopped and every end closed."""
+def forked_children():
+    """Yield ``fork(run)``: it makes a duplex ``multiprocessing.Pipe``, forks
+    a child that at once calls ``run`` with the pipe's second end, and returns
+    the first end and the child's process. Each child is recorded with SIGINT
+    held back, so a Ctrl-C at a fork is raised after it, neither lost in the
+    fork's after-fork callbacks nor leaving a child this block does not stop.
+    A child ignores SIGINT, as its parent stops it, and closes the parent's
+    ends, so the parent's exit reads as EOF there; the parent closes the
+    child's end, so the child's exit reads as EOF here. When the block ends
+    every child is stopped and every end closed."""
     # fork, not spawn: a spawned child re-imports numpy (about 0.5 s) and is
     # sent its inputs pickled, where a forked one shares them copy-on-write.
     # OpenBLAS shuts its thread pool down before a fork (a pthread_atfork
@@ -514,7 +514,7 @@ def forked_children(make_pair):
     def fork(run):
         held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
-            ours, theirs = make_pair()
+            ours, theirs = multiprocessing.Pipe()
             ends.append(ours)
             with theirs:
                 proc = context.Process(target=child, args=(run, theirs))
@@ -553,7 +553,7 @@ def forked_stripes(fn, stripes, died):
     the second, and so on. A result that is an exception is raised when it is
     reached, and a worker that exits before sending a result raises
     ``died(job, exitcode)``. Every worker is stopped when the block ends."""
-    with forked_children(lambda: multiprocessing.Pipe(duplex=False)) as fork:
+    with forked_children() as fork:
         workers = [fork(lambda conn: _run_stripe(conn, fn, stripe)) for stripe in stripes]
 
         def results():

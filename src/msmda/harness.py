@@ -895,11 +895,7 @@ def verify(suite: str = "all") -> VerifyReport:
         "norm": _norm_items,
         "schedule": _schedule_items,
     }
-    if suite == "all":
-        items = []
-        for name in ("grad", "mmd_oracle", "norm", "schedule"):
-            items.extend(suites[name]())
-        return VerifyReport(suite="all", items=items)
-    if suite not in suites:
+    if suite not in suites and suite != "all":
         raise ValidationError(f"unknown verify suite {suite!r}")
-    return VerifyReport(suite=suite, items=suites[suite]())
+    names = suites if suite == "all" else [suite]
+    return VerifyReport(suite=suite, items=[item for name in names for item in suites[name]()])

@@ -14,7 +14,6 @@ import contextlib
 import math
 import mmap
 import os
-import socket
 import struct
 from dataclasses import dataclass
 
@@ -202,7 +201,7 @@ class StepBuffers:
     """A step's arrays for batch ``sizes`` (each source's rows, then the
     target's) and MMD ``kernel``, kept while both hold, so steps refault no
     pages for them. All are views of one MAP_SHARED mapping, so branch lanes
-    forked after it work on them in place; ``lanes`` holds the sockets to them.
+    forked after it work on them in place; ``lanes`` holds the connections to them.
 
     ``x`` is the stacked input, ``outs`` each extractor layer's output (each
     process writes its own rows of it, see ``extractor_share``, and its
@@ -301,7 +300,6 @@ def branch_backward(model: MsMdaModel, buf: StepBuffers, i: int, saved) -> None:
 
 
 _EXTRACT, _FORWARD, _BACKWARD, _LAYER = range(4)
-_ASK = struct.Struct("<BI")  # (task, extractor layer), one packet each way
 
 
 def _run_task(model: MsMdaModel, buf: StepBuffers, saved: list, ask, j: int, k: int) -> None:
@@ -329,13 +327,10 @@ def _run_task(model: MsMdaModel, buf: StepBuffers, saved: list, ask, j: int, k: 
 def _lanes_io(lanes, ask=None) -> None:
     """Send ``ask`` to every lane or, without it, wait for every lane's
     answer; a lane that is gone raises EOFError with its index."""
-    for j, sock in enumerate(lanes):
+    for j, conn in enumerate(lanes):
         try:
-            if ask:
-                sock.sendall(_ASK.pack(*ask))
-            elif not sock.recv(_ASK.size):
-                raise OSError
-        except OSError:
+            conn.send(ask) if ask else conn.recv()
+        except (EOFError, OSError):
             raise EOFError(j) from None
 
 
@@ -348,17 +343,17 @@ def _step_task(model: MsMdaModel, buf: StepBuffers, saved: list, ask, lanes) -> 
         _lanes_io(lanes)
 
 
-def serve_lane(model: MsMdaModel, sock, j: int, k: int, cpus) -> None:
+def serve_lane(model: MsMdaModel, conn, j: int, k: int, cpus) -> None:
     """Branch lane ``j`` of ``k``, pinned to ``cpus`` where they exist: runs its part
-    of each step task asked on ``sock``, answers with the ask, and keeps only its
+    of each step task asked on ``conn``, answers with the ask, and keeps only its
     branches' saved forward between asks. Returns once the fold's process is gone."""
     with contextlib.suppress(OSError):  # a CPU this host does not have: unpinned
         os.sched_setaffinity(0, cpus)
     saved = []
-    with contextlib.suppress(OSError):  # the fold's process is gone
-        while ask := sock.recv(_ASK.size):
-            _run_task(model, model.step_buffers, saved, _ASK.unpack(ask), j, k)
-            sock.sendall(ask)
+    with contextlib.suppress(EOFError, OSError):  # the fold's process is gone
+        while ask := conn.recv():
+            _run_task(model, model.step_buffers, saved, ask, j, k)
+            conn.send(ask)
 
 
 @contextlib.contextmanager
@@ -374,10 +369,10 @@ def branch_lanes(model: MsMdaModel, sizes, kernel: KernelSpec, cpus, died):
         return
     buf = step_buffers(model, sizes, kernel)
     k, usable = len(cpus), os.sched_getaffinity(0)
-    with forked_children(lambda: socket.socketpair(type=socket.SOCK_SEQPACKET)) as fork:
+    with forked_children() as fork:
         try:
             lanes = [fork(lambda end: serve_lane(model, end, j, k, cpus[j])) for j in range(1, k)]
-            buf.lanes[:] = [sock for sock, _ in lanes]
+            buf.lanes[:] = [conn for conn, _ in lanes]
             # pinned too: unpinned, a task the lane wakes lands on the lane's CPU
             with contextlib.suppress(OSError):
                 os.sched_setaffinity(0, cpus[0])

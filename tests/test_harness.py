@@ -658,6 +658,24 @@ class TestForkedFolds:
             monkeypatch.setenv(name, value)
         assert harness.blas_threads(4) == expected
 
+    @pytest.mark.parametrize("imports, env, variable, threads", [
+        ("import msmda, numpy", {}, "1", 1),
+        ("import numpy, msmda", {}, None, 4),
+        ("import msmda, numpy", {"OPENBLAS_NUM_THREADS": "2"}, "2", 2),
+    ], ids=["msmda-first", "numpy-first", "set-by-the-caller"])
+    def test_one_blas_thread_per_process_unless_numpy_or_the_caller_came_first(
+            self, imports, env, variable, threads):
+        # in fresh interpreters: OpenBLAS reads the variable once, as numpy loads
+        names = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+        child_env = {k: v for k, v in os.environ.items() if k not in names}
+        child_env.update(env, PYTHONPATH=os.pathsep.join(
+            [str(Path(harness.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        code = (f"{imports}, os; from msmda import harness; "
+                "print(repr(os.environ.get('OPENBLAS_NUM_THREADS')), harness.blas_threads(4))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=child_env, timeout=60)
+        assert proc.stdout.split() == [repr(variable), str(threads)], proc.stderr
+
     @pytest.mark.parametrize("failing", [(0, 1), (0, 2)], ids=["in-worker", "in-this-process"])
     def test_fold_error_is_raised_as_in_process(self, tmp_path, monkeypatch, failing):
         make = self.make_config(tmp_path, "file-grid")
@@ -819,8 +837,8 @@ class TestBranchLanes:
     def test_outputs_equal_a_serial_run(self, tmp_path, monkeypatch, kind, lr, batch):
         # more than two fake CPUs: pinning to CPUs 2 and 3 fails, and those lanes run
         # unpinned. Three take uneven row shares of 160 rows, as no extractor width
-        # (12, 10, 8) divides by three. One-row batches stack 5 rows, where three or
-        # four shares would hold a single row: the fold's process runs them all
+        # (12, 10, 8) divides by three. One-row batches stack 5 rows, fewer than 8k
+        # at any k > 1: the fold's process runs them all
         log = record_lanes(monkeypatch, tmp_path / "lanes.txt")
         trees, lanes = [], []
         for cpus in (1, 2, 3, 4):
@@ -940,7 +958,7 @@ class TestBranchLanes:
 
     def test_worker_death_beside_its_lane_is_a_data_error(self, monkeypatch):
         # the lane holds a copy of the worker's result pipe; it exits once its
-        # socket reads EOF, so the worker's death still reads as EOF here
+        # connection reads EOF, so the worker's death still reads as EOF here
         import msmda.model
 
         real_train_fold, test_pid, workers = harness.train_fold, os.getpid(), []
