@@ -10,9 +10,8 @@ import os
 import sys
 
 # OpenBLAS reads its thread count once, as numpy loads: one per process unless one is set
-if "numpy" not in sys.modules and not any(
-        os.environ.get(name, "").lstrip().lstrip("0")[:1].isdecimal()  # positive, as atoi reads
-        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+if "numpy" not in sys.modules and not any(map(os.environ.get, (
+        "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"  # msmda splits its work between processes itself
 
 from .data import (

@@ -331,7 +331,6 @@ class BatchSampler:
         self.batch_size = batch_size
         domains = list(task.sources) + [task.target]
         self._rngs = [np.random.default_rng(s) for s in seed.spawn(len(domains))]
-        self._domains = domains
         self._perms = [rng.permutation(d.num_samples) for rng, d in zip(self._rngs, domains)]
         self._cursors = [0] * len(domains)
 

@@ -232,7 +232,7 @@ def train_fold(
     records: list[MetricsRecord] = []
     # a diverging fold overflows on purpose; its diverged row is the report
     with np.errstate(over="ignore", invalid="ignore"), branch_lanes(
-            model, sizes, config.kernel, cpus, lambda code: DataError(
+            model, sizes, cpus, lambda code: DataError(
                 f"fold {task.fold_id} (seed {seed}): its branch lane exited with code {code}")):
         for epoch in range(train.epochs):
             w_mmd, w_disc = loss_weights(train, epoch)
@@ -355,13 +355,13 @@ def config_snapshot(config: ExperimentConfig) -> dict:
     }
 
 
-def write_outputs(config: ExperimentConfig, records: list[MetricsRecord] | None = None,
-                  model: MsMdaModel | None = None) -> None:
+def write_outputs(config: ExperimentConfig, fold: tuple | None = None) -> None:
     """Persist a run's start (``config.json``, the ``metrics.csv`` header, no
-    stale ``summary.json`` or checkpoints) or one finished fold: its rows, then
-    its checkpoint, written as ``.tmp`` and renamed so a checkpoint on disk is whole."""
+    stale ``summary.json`` or checkpoints) or one finished ``fold``, its (rows,
+    model config, arena values): its rows, then its checkpoint, written as
+    ``.tmp`` and renamed so a checkpoint on disk is whole."""
     out = config.out_dir
-    if model is None:
+    if fold is None:
         ckpts = os.path.join(out, "checkpoints")
         os.makedirs(ckpts, exist_ok=True)
         write_json(os.path.join(out, "config.json"), config_snapshot(config))
@@ -373,9 +373,12 @@ def write_outputs(config: ExperimentConfig, records: list[MetricsRecord] | None 
         with open(os.path.join(out, "metrics.csv"), "w", encoding="utf-8", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerow(METRICS_COLUMNS)
         return
+    records, model_config, values = fold
     with open(os.path.join(out, "metrics.csv"), "a", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(r.as_row() for r in records)
     path = os.path.join(out, "checkpoints", f"{records[0].fold_id}_seed{records[0].seed}.ckpt")
+    model = MsMdaModel(model_config, Parameter(np.zeros_like(values)))
+    model.arena.value[...] = values  # unchecked: a diverged fold's too
     save_checkpoint(model, path + ".tmp")
     os.replace(path + ".tmp", path)
 
@@ -385,7 +388,7 @@ def blas_threads(cpus: int) -> int:
     loads: the first positive ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS``
     or ``OMP_NUM_THREADS``, else one per usable CPU, and at most ``cpus``."""
     for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = re.match(r"\s*(\d+)", os.environ.get(name, ""))  # read as C's atoi reads it
+        value = re.match(r"[ \t\n\v\f\r]*([+-]?[0-9]+)", os.environ.get(name, ""))  # as atoi
         if value and int(value[1]) > 0:
             return min(int(value[1]), cpus)
     return cpus
@@ -472,7 +475,7 @@ def run_experiment(config: ExperimentConfig, log=None) -> dict:
 
     The jobs, ``(seed, fold_index)`` in (seed, fold) order, run on the ``n``
     processes of ``fold_processes``. This process trains jobs ``0, n, 2n,
-    ...`` and forked workers the other stripes; a worker sends each fold's
+    ...`` and forked workers the other stripes; every fold comes back as its
     rows and its model's config and arena values. Each fold is persisted and
     logged here in job order, so the outputs are those of a serial run, and
     the first failure in that order is raised before any later fold is
@@ -497,16 +500,13 @@ def run_experiment(config: ExperimentConfig, log=None) -> dict:
             held[:] = seed, build_tasks(config, seed)
         task = held[1][fold_index]
         try:
-            return train_fold(task, config, seed, fold_index, cpus[jobs.index(job) % n])
+            rows, model = train_fold(task, config, seed, fold_index, cpus[jobs.index(job) % n])
         except DataError:
             raise
         except ValidationError as exc:
             raise ValidationError(f"fold {task.fold_id} (seed {seed}): {exc}") from exc
-
-    def run_in_worker(job):
         # the checkpoint needs only the values: not the gradient, nor the Adam moments
-        fold_records, model = run(job)
-        return fold_records, model.config, model.arena.value
+        return rows, model.config, model.arena.value
 
     def died(job, code):
         seed, fold_index = job
@@ -514,20 +514,15 @@ def run_experiment(config: ExperimentConfig, log=None) -> dict:
                          f"its worker exited with code {code}")
 
     records: list[MetricsRecord] = []
-    with forked_stripes(run_in_worker, [jobs[w::n] for w in range(1, n)], died) as received:
+    with forked_stripes(run, [jobs[w::n] for w in range(1, n)], died) as received:
         for i, job in enumerate(jobs):
-            if i % n == 0:
-                fold_records, model = run(job)
-            else:
-                fold_records, model_config, values = next(received)
-                model = MsMdaModel(model_config, Parameter(np.zeros_like(values)))
-                model.arena.value[...] = values  # unchecked: a diverged fold's too
-            records.extend(fold_records)
+            fold = run(job) if i % n == 0 else next(received)
+            records.extend(fold[0])
             if config.out_dir:
-                write_outputs(config, fold_records, model)
+                write_outputs(config, fold)
             if log:
-                status, final, best = _fold_outcome(fold_records)
-                log(f"seed {job[0]} fold {fold_records[0].fold_id}: "
+                status, final, best = _fold_outcome(fold[0])
+                log(f"seed {job[0]} fold {fold_ids[job[1]]}: "
                     f"final={final:.4f} best={best:.4f} ({status})")
     summary = summarize(records, config)
     if config.out_dir:

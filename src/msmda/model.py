@@ -199,9 +199,9 @@ def _carve(shapes) -> list[np.ndarray]:
 
 class StepBuffers:
     """A step's arrays for batch ``sizes`` (each source's rows, then the
-    target's) and MMD ``kernel``, kept while both hold, so steps refault no
-    pages for them. All are views of one MAP_SHARED mapping, so branch lanes
-    forked after it work on them in place; ``lanes`` holds the connections to them.
+    target's), kept while they hold, so steps refault no pages for them. All
+    are views of one MAP_SHARED mapping, so branch lanes forked after it work
+    on them in place; ``lanes`` holds the connections to them.
 
     ``x`` is the stacked input, ``outs`` each extractor layer's output (each
     process writes its own rows of it, see ``extractor_share``, and its
@@ -209,15 +209,14 @@ class StepBuffers:
     each output, views of one block, as each is dead once the next is formed.
     The rest is what a branch exchanges with the fold's own process: its
     ``logits``, its MMD value in ``mmd``, its ``logit_grads`` and the gradient
-    at its target rows (``target_grads``), and the step's MMD weight ``alpha``.
+    at its target rows (``target_grads``).
     """
 
-    def __init__(self, config: ModelConfig, sizes: tuple[int, ...], kernel: KernelSpec):
+    def __init__(self, config: ModelConfig, sizes: tuple[int, ...]):
         rows, m, dims, n_br = sum(sizes), sizes[-1], config.cfe_dims, len(sizes) - 1
-        self.sizes, self.kernel, self.offsets, self.lanes = (sizes, kernel,
-                                                             np.cumsum((0,) + sizes), [])
-        self.x, flat, self.mmd, self.alpha, *rest = _carve(
-            [(rows, config.input_dim), (rows * max(dims),), (n_br,), (1,)]
+        self.sizes, self.offsets, self.lanes = sizes, np.cumsum((0,) + sizes), []
+        self.x, flat, self.mmd, *rest = _carve(
+            [(rows, config.input_dim), (rows * max(dims),), (n_br,)]
             + [(rows, d) for d in dims] + [(n + m, config.num_classes) for n in sizes[:-1]] * 2
             + [(m, dims[-1])] * n_br)
         self.outs = rest[:len(dims)]
@@ -226,12 +225,12 @@ class StepBuffers:
             rest[i:i + n_br] for i in range(len(dims), len(rest), n_br))
 
 
-def step_buffers(model: MsMdaModel, sizes: tuple[int, ...], kernel: KernelSpec) -> StepBuffers:
-    """``model``'s step buffers for batch ``sizes`` and ``kernel``, made anew,
-    with no lanes, when it holds none for them."""
+def step_buffers(model: MsMdaModel, sizes: tuple[int, ...]) -> StepBuffers:
+    """``model``'s step buffers for batch ``sizes``, made anew, with no lanes,
+    when it holds none for them."""
     held = model.step_buffers
-    if held is None or held.sizes != sizes or held.kernel != kernel:
-        held = model.step_buffers = StepBuffers(model.config, sizes, kernel)
+    if held is None or held.sizes != sizes:
+        held = model.step_buffers = StepBuffers(model.config, sizes)
     return held
 
 
@@ -269,28 +268,28 @@ def extractor_share(model: MsMdaModel, buf: StepBuffers, j: int, k: int) -> None
     _forward(model, buf.x[rows], [out[rows] for out in buf.outs])
 
 
-def branch_forward(model: MsMdaModel, buf: StepBuffers, i: int):
+def branch_forward(model: MsMdaModel, buf: StepBuffers, i: int, kernel: KernelSpec):
     """Branch ``i`` of a step whose extractor output is in ``buf``: its
-    forward on its source rows and the target rows, and their MMD by the
-    buffers' kernel. Writes its logits and MMD value into ``buf``; returns
+    forward on its source rows and the target rows, and their MMD by
+    ``kernel``. Writes its logits and MMD value into ``buf``; returns
     what its backward reads."""
     o, n, h = buf.offsets, buf.sizes[i], buf.outs[-1]
     rows = np.vstack([h[o[i]:o[i + 1]], h[o[-2]:]])
     r, _ = _branch(model.branches[i], rows, out=buf.logits[i])
-    buf.mmd[i], g_src, g_tgt = mmd_squared(r[:n], r[n:], buf.kernel)
+    buf.mmd[i], g_src, g_tgt = mmd_squared(r[:n], r[n:], kernel)
     return rows, r, g_src, g_tgt
 
 
-def branch_backward(model: MsMdaModel, buf: StepBuffers, i: int, saved) -> None:
-    """Branch ``i``'s backward from its logit gradient in ``buf`` and what its
-    forward ``saved``: adds into its parameters' gradients and into the
-    extractor output's gradient at its source rows, and writes the gradient at
-    the target rows into ``buf``."""
+def branch_backward(model: MsMdaModel, buf: StepBuffers, i: int, saved, alpha: float) -> None:
+    """Branch ``i``'s backward from its logit gradient in ``buf``, what its
+    forward ``saved`` and the step's MMD weight ``alpha``: adds into its
+    parameters' gradients and into the extractor output's gradient at its
+    source rows, and writes the gradient at the target rows into ``buf``."""
     rows, r, g_src, g_tgt = saved
     branch, o, n = model.branches[i], buf.offsets, buf.sizes[i]
     g_r = branch.dsc.backward(r, buf.logit_grads[i])
     # mmd component is the branch mean, so each branch carries alpha/N
-    weight = buf.alpha[0] / model.num_branches
+    weight = alpha / model.num_branches
     g_r[:n] += weight * g_src
     g_r[n:] += weight * g_tgt
     g_joined = branch.dsfe.backward(rows, leaky_relu_backward(g_r, r, LEAKY_SLOPE))
@@ -303,21 +302,23 @@ _EXTRACT, _FORWARD, _BACKWARD, _LAYER = range(4)
 
 
 def _run_task(model: MsMdaModel, buf: StepBuffers, saved: list, ask, j: int, k: int) -> None:
-    """Process j of k's part of step task ``ask``, a (task, layer) pair:
-    ``_EXTRACT`` its extractor share, ``_FORWARD`` and ``_BACKWARD`` its
-    branches j, j + k, ... (``saved`` keeps their forward for their backward),
-    ``_LAYER`` that extractor layer's backward from its masked output gradient:
-    process 0 forms the input gradient, and lane 1 the parameter gradients of
-    a layer above the first where there is a lane (else process 0)."""
-    task, layer = ask
+    """Process j of k's part of step task ``ask``, a (task, argument) pair:
+    ``_EXTRACT`` its extractor share, ``_FORWARD`` (by the step's kernel) and
+    ``_BACKWARD`` (with its MMD weight) its branches j, j + k, ... (``saved``
+    keeps their forward for their backward), ``_LAYER`` that extractor layer's
+    backward from its masked output gradient: process 0 forms the input
+    gradient, and lane 1 the parameter gradients of a layer above the first
+    where there is a lane (else process 0)."""
+    task, arg = ask
     if task == _EXTRACT:
         extractor_share(model, buf, j, k)
     elif task == _FORWARD:
-        saved += [(i, branch_forward(model, buf, i)) for i in range(j, model.num_branches, k)]
+        saved += [(i, branch_forward(model, buf, i, arg)) for i in range(j, model.num_branches, k)]
     elif task == _BACKWARD:
         while saved:  # release each branch's activations once consumed, for a lower peak
-            branch_backward(model, buf, *saved.pop(0))
+            branch_backward(model, buf, *saved.pop(0), arg)
     elif task == _LAYER:
+        layer = arg
         # the first layer's input is the data batch: no gradient wanted there
         x, out = (buf.outs[layer - 1], buf.grads[layer - 1]) if layer else (buf.x, None)
         model.cfe[layer].backward(x, buf.outs[layer], input_grad=j == 0 < layer, out=out,
@@ -357,17 +358,17 @@ def serve_lane(model: MsMdaModel, conn, j: int, k: int, cpus) -> None:
 
 
 @contextlib.contextmanager
-def branch_lanes(model: MsMdaModel, sizes, kernel: KernelSpec, cpus, died):
+def branch_lanes(model: MsMdaModel, sizes, cpus, died):
     """With k CPU sets in ``cpus``, pin this process to the first and fork k - 1
     branch lanes (``serve_lane``), lane j pinned to set j, for ``model``'s
-    steps of batch ``sizes`` and ``kernel``. A set this host does not have
-    pins nothing. A lane that is gone raises ``died(exitcode)``; every lane
-    is stopped, and this process unpinned, when the block ends. With one set
-    or none nothing is pinned or forked."""
+    steps of batch ``sizes``, whatever their kernel. A set this host does not
+    have pins nothing. A lane that is gone raises ``died(exitcode)``; every
+    lane is stopped, and this process unpinned, when the block ends. With one
+    set or none nothing is pinned or forked."""
     if len(cpus) < 2:
         yield
         return
-    buf = step_buffers(model, sizes, kernel)
+    buf = step_buffers(model, sizes)
     k, usable = len(cpus), os.sched_getaffinity(0)
     with forked_children() as fork:
         try:
@@ -437,10 +438,10 @@ def compute_losses(
             raise ValidationError(f"{name} is empty")
     sizes = tuple(f.shape[0] for f in feats)
 
-    buf, saved = step_buffers(model, sizes, kernel), []
+    buf, saved = step_buffers(model, sizes), []
     np.concatenate(feats, out=buf.x)
-    _step_task(model, buf, saved, (_EXTRACT, 0), buf.lanes)
-    _step_task(model, buf, saved, (_FORWARD, 0), buf.lanes)
+    _step_task(model, buf, saved, (_EXTRACT, None), buf.lanes)
+    _step_task(model, buf, saved, (_FORWARD, kernel), buf.lanes)
     probs_tgt = [softmax(logits[n:]) for logits, n in zip(buf.logits, sizes)]
     cls_value, cls_grads = classification_loss(
         [logits[:n] for logits, n in zip(buf.logits, sizes)], [y for _, y in source_batches])
@@ -449,14 +450,13 @@ def compute_losses(
     if not math.isfinite(breakdown.total):
         return breakdown  # diverged run: report the damage, run no backward
 
-    buf.alpha[0] = alpha
     grad_q = buf.grads[-1]
     grad_q.fill(0.0)
     for g, g_cls, g_disc, probs, n in zip(buf.logit_grads, cls_grads, disc_grads, probs_tgt,
                                          sizes):
         g[:n] = g_cls
         g[n:] = softmax_backward(beta * g_disc, probs)
-    _step_task(model, buf, saved, (_BACKWARD, 0), buf.lanes)
+    _step_task(model, buf, saved, (_BACKWARD, float(alpha)), buf.lanes)
     target_rows = grad_q[buf.offsets[-2]:]
     for part in buf.target_grads:
         target_rows += part

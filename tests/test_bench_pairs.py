@@ -22,7 +22,9 @@ def load_tool():
 def run(workload, pair, side, trace=0, exit_code=0, **metrics):
     line = json.dumps({"correct": True,
                        "metrics": {name: {"value": v} for name, v in metrics.items()}})
+    # as the tool orders them: even pairs run the parent first
     return {"workload": workload, "pair": pair, "side": side, "trace": trace,
+            "runs_first": (side == "parent") == (pair % 2 == 0),
             "exit_code": exit_code, "result_line": line}
 
 
@@ -97,3 +99,24 @@ def test_a_dirty_checkout_is_recorded_with_its_diff(tmp_path):
     assert b"+rows = 2" in diff
     assert tool.git_state(str(tmp_path)) == {
         "head": head, "dirty": True, "diff_sha256": hashlib.sha256(diff).hexdigest()}
+
+
+def test_pairs_that_split_run_order_unevenly_are_counted_and_warned():
+    # with an odd pair count, or a failed pair, one side runs first more often
+    tool = load_tool()
+    runs = series("odd", [dict(sweep_s=1.0)] * 3, [dict(sweep_s=1.0)] * 3)
+    runs += series("even", [dict(sweep_s=1.0)] * 4, [dict(sweep_s=1.0)] * 4)
+    runs += series("failed", [dict(sweep_s=1.0)] * 2, [dict(sweep_s=1.0)] * 2, trace=1)
+    runs[-1]["exit_code"] = 1  # the second pair ran the change first, then failed
+
+    summary, _ = tool.summarize(runs, SPEC)
+
+    assert summary["0"]["odd"]["sweep_s"]["parent_first"] == 2
+    assert summary["0"]["even"]["sweep_s"]["parent_first"] == 2
+    assert summary["1"]["failed"]["sweep_s"]["parent_first"] == 1
+    assert summary["1"]["failed"]["sweep_s"]["pairs"] == 1
+    assert tool.order_warnings(summary) == [
+        "warning: odd (trace 0): 2 of 3 pairs ran the parent first, "
+        "so run order does not cancel out",
+        "warning: failed (trace 1): 1 of 1 pairs ran the parent first, "
+        "so run order does not cancel out"]

@@ -651,6 +651,8 @@ class TestForkedFolds:
         ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, 2),
         ({"OPENBLAS_NUM_THREADS": "x", "GOTO_NUM_THREADS": "-2"}, 4),
         ({"OPENBLAS_NUM_THREADS": "16"}, 4),
+        ({"OPENBLAS_NUM_THREADS": " +2"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "\u0662", "OMP_NUM_THREADS": "3"}, 3),  # atoi: ASCII digits
     ])
     def test_blas_threads_read_as_openblas_reads_them(self, monkeypatch, env, expected):
         usable_cpus(monkeypatch, 4, None)
@@ -662,7 +664,10 @@ class TestForkedFolds:
         ("import msmda, numpy", {}, "1", 1),
         ("import numpy, msmda", {}, None, 4),
         ("import msmda, numpy", {"OPENBLAS_NUM_THREADS": "2"}, "2", 2),
-    ], ids=["msmda-first", "numpy-first", "set-by-the-caller"])
+        ("import msmda, numpy", {"OPENBLAS_NUM_THREADS": "+2"}, "+2", 2),
+        ("import msmda, numpy", {"OPENBLAS_NUM_THREADS": "0"}, "0", 4),
+    ], ids=["msmda-first", "numpy-first", "set-by-the-caller", "signed-by-the-caller",
+            "zero-by-the-caller"])
     def test_one_blas_thread_per_process_unless_numpy_or_the_caller_came_first(
             self, imports, env, variable, threads):
         # in fresh interpreters: OpenBLAS reads the variable once, as numpy loads

@@ -80,7 +80,7 @@ for depth in (1, 2, 3, 5):
         arenas = []
         for k in (1, 2, 3, 4):
             model = init_model(config)
-            with branch_lanes(model, (rows,) * 5, kernel, [{j} for j in range(k)], DataError):
+            with branch_lanes(model, (rows,) * 5, [{j} for j in range(k)], DataError):
                 for batches, target in steps:
                     train_step(model, batches, target, alpha=0.5, beta=0.01, kernel=kernel)
                 assert len(model.step_buffers.lanes) == k - 1
@@ -375,7 +375,7 @@ class TestStepBuffers:
         model = init_model(TOY)
         compute_losses(model, *toy_batches(rng), alpha=0.7, beta=0.05)
         buf = model.step_buffers
-        owners = {id(owner(a)) for a in [buf.x, *buf.outs, *buf.grads, buf.mmd, buf.alpha,
+        owners = {id(owner(a)) for a in [buf.x, *buf.outs, *buf.grads, buf.mmd,
                                          *buf.logits, *buf.logit_grads, *buf.target_grads]}
         assert owners == {id(owner(buf.x))}
         assert isinstance(owner(buf.x), mmap.mmap)
@@ -432,18 +432,20 @@ class TestStepBuffers:
 
 class TestBranchLanes:
     def test_lanes_run_the_steps_kernel(self):
-        # lanes forked for the multiscale kernel: a step with another kernel
-        # gets fresh buffers and runs every branch in this process
+        # the kernel travels in the forward's ask: a step with another kernel
+        # keeps its lane, and the lane runs that kernel
         config = ModelConfig(num_branches=4, input_dim=6, cfe_dims=(8, 6, 5), dsfe_dim=4,
                              num_classes=3, rng_seed=11)
         rng = np.random.default_rng(36)
         steps = [toy_batches(rng, num_branches=4) for _ in range(3)]
+        kernels = [KernelSpec(), FIXED_KERNEL, KernelSpec(kind="linear")]
         serial, laned = init_model(config), init_model(config)
-        for batches, target in steps:
-            train_step(serial, batches, target, alpha=0.5, beta=0.01, kernel=FIXED_KERNEL)
-        with branch_lanes(laned, (5,) * 5, KernelSpec(), [{0}, {1}], DataError):
-            for batches, target in steps:
-                train_step(laned, batches, target, alpha=0.5, beta=0.01, kernel=FIXED_KERNEL)
+        for (batches, target), kernel in zip(steps, kernels):
+            train_step(serial, batches, target, alpha=0.5, beta=0.01, kernel=kernel)
+        with branch_lanes(laned, (5,) * 5, [{0}, {1}], DataError):
+            for (batches, target), kernel in zip(steps, kernels):
+                train_step(laned, batches, target, alpha=0.5, beta=0.01, kernel=kernel)
+                assert len(laned.step_buffers.lanes) == 1
         assert multiprocessing.active_children() == []
         assert laned.arena.value.tobytes() == serial.arena.value.tobytes()
 
@@ -456,7 +458,7 @@ class TestBranchLanes:
         results = []
         for cpus in ([{0}], [{0}, {1}], [{0}, {1}, {2}]):
             model = init_model(ModelConfig(num_branches=14, rng_seed=1))
-            with branch_lanes(model, (256,) * 15, kernel, cpus, DataError):
+            with branch_lanes(model, (256,) * 15, cpus, DataError):
                 bd = compute_losses(model, batches, target, alpha=0.5, beta=0.01,
                                     kernel=kernel)
                 assert len(model.step_buffers.lanes) == len(cpus) - 1
@@ -625,9 +627,9 @@ class TestExtractBranchFeatures:
         batches, target = toy_batches(rng)
         # the step buffers and per-branch forward that compute_losses runs
         feats = [f for f, _ in batches] + [target]
-        buf = step_buffers(model, tuple(f.shape[0] for f in feats), KernelSpec())
+        buf = step_buffers(model, tuple(f.shape[0] for f in feats))
         _forward(model, np.concatenate(feats, out=buf.x), buf.outs)
-        branch_features = [branch_forward(model, buf, i)[1] for i in range(3)]
+        branch_features = [branch_forward(model, buf, i, KernelSpec())[1] for i in range(3)]
         target_features = list(extract_branch_features(model, target))
         for i in range(3):
             n_src = batches[i][0].shape[0]

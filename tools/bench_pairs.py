@@ -21,7 +21,9 @@ time, failures), and a summary per trace mode, workload and metric: the
 per-side median and inclusive quartiles over the pairs where both runs
 passed, the change's win and tie counts (``better`` from the change's
 ``BENCHMARK.json``), the relative change of the medians and the parent's
-IQR. Each trace-0 metric with a ``bound`` (the end-to-end ones) also gets
+IQR, and ``parent_first``, how many of those pairs ran the parent first:
+when it is not half of them, run order does not cancel out, and the script
+warns on stderr. Each trace-0 metric with a ``bound`` (the end-to-end ones) also gets
 ``within_bound``: the change's median is no worse than the parent's by more
 than that fraction of it. The top-level ``out_of_bound`` lists every
 ``[workload, metric]`` that breaks its bound. A ``--claim W:METRIC`` is met
@@ -112,9 +114,12 @@ def summarize(runs: list[dict], spec: dict) -> tuple[dict, list]:
     """{trace: {workload: {metric: stats}}} over pairs where both sides
     passed, and the (trace, workload, pair) of every other pair."""
     pairs: dict = {}
+    parent_first = {}
     for run in runs:
         key = (run["trace"], run["workload"], run["pair"])
         pairs.setdefault(key, {})[run["side"]] = metrics_of(run)
+        if run["side"] == "parent":
+            parent_first[key] = bool(run.get("runs_first"))
     out: dict = {}
     failed = []
     for key, sides in sorted(pairs.items()):
@@ -124,9 +129,10 @@ def summarize(runs: list[dict], spec: dict) -> tuple[dict, list]:
             continue
         table = out.setdefault(str(key[0]), {}).setdefault(key[1], {})
         for name in sorted(parent.keys() & change.keys()):
-            entry = table.setdefault(name, {"parent": [], "change": []})
+            entry = table.setdefault(name, {"parent": [], "change": [], "parent_first": 0})
             entry["parent"].append(parent[name])
             entry["change"].append(change[name])
+            entry["parent_first"] += parent_first[key]
     for trace, by_workload in out.items():
         for table in by_workload.values():
             for name, entry in table.items():
@@ -154,6 +160,16 @@ def out_of_bound(summary: dict) -> list:
     """[workload, metric] of every trace-0 metric whose median breaks its bound."""
     return [[workload, name] for workload, table in sorted(summary.get("0", {}).items())
             for name, entry in sorted(table.items()) if entry.get("within_bound") is False]
+
+
+def order_warnings(summary: dict) -> list[str]:
+    """One line per trace mode and workload whose pairs did not run the parent
+    first in exactly half of them."""
+    return [f"warning: {workload} (trace {trace}): {e['parent_first']} of {e['pairs']} pairs "
+            "ran the parent first, so run order does not cancel out"
+            for trace, by_workload in sorted(summary.items())
+            for workload, table in sorted(by_workload.items())
+            for e in list(table.values())[:1] if 2 * e["parent_first"] != e["pairs"]]
 
 
 def claim_result(summary: dict, claim: str) -> dict:
@@ -242,6 +258,8 @@ def main(argv=None) -> int:
             doc["out_of_bound"] = out_of_bound(doc["summary"])
             doc["claims"] = [claim_result(doc["summary"], c) for c in doc["claim_specs"]]
             write(args.out, doc)
+    for line in order_warnings(doc.get("summary", {})):
+        print(line, file=sys.stderr)
     return 0
 
 
