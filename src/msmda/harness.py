@@ -433,19 +433,22 @@ def process_bytes(config: ExperimentConfig, task: TransferTask, lanes: int = 1) 
         domains += row * source_rows * (1 + _norm_after_merge(config.norm, config.method))
     model = replace(config.model, num_branches=branches, input_dim=dim,
                     num_classes=task.target.num_classes)
-    rows = max(config.train.batch_size * (branches + 1), task.target.num_samples)
+    b = config.train.batch_size
+    rows = max(b * (branches + 1), task.target.num_samples)
     # per row, the sampler's batches and the model's step buffers (the stacked input,
     # one output per layer, a gradient at the widest) and room for two temporaries
     # there, counted twice: that covers the ~200 MiB a paper-shape worker adds
     per_row = 2 * dim + sum(model.cfe_dims) + 3 * max(model.cfe_dims)
+    # per branch, its 2b joined rows' inputs, features, MMD gradient, logits and their gradient
+    joined = 8 * branches * 2 * b * (model.cfe_dims[-1] + 2 * (model.dsfe_dim + model.num_classes))
     # a further lane: the interpreter's pages it writes (about 5 MiB), one LeakyReLU
-    # temporary over its row share at the widest layer and, counted twice, its
-    # branches' saved arrays and one MMD's distance blocks; 22.5 MiB at paper shape,
-    # where a lane added 21.9-23.6 MiB to the tree's summed PSS
-    b = config.train.batch_size
+    # temporary over its row share at the widest layer and, counted twice, the step
+    # buffers of its branches and one MMD's distance blocks; 22.5 MiB at paper shape,
+    # where a lane added 22.9-27.0 MiB to the tree's summed PSS
     lane = 5 * 2**20 + 8 * (b * (branches + 1) // lanes) * max(model.cfe_dims) + 2 * 8 * (
         -(-branches // lanes) * 2 * b * (model.cfe_dims[-1] + 3 * model.dsfe_dim) + 5 * b * b)
-    return domains + 4 * 8 * arena_size(model) + 2 * 8 * rows * per_row + (lanes - 1) * lane
+    return (domains + 4 * 8 * arena_size(model) + 2 * 8 * rows * per_row + joined
+            + (lanes - 1) * lane)
 
 
 def fold_processes(config: ExperimentConfig, task: TransferTask, jobs: int) -> list[list[set]]:

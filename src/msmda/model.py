@@ -207,21 +207,23 @@ class StepBuffers:
     process writes its own rows of it, see ``extractor_share``, and its
     backward writes the masked gradient over it) and ``grads`` the gradient at
     each output, views of one block, as each is dead once the next is formed.
-    The rest is what a branch exchanges with the fold's own process: its
-    ``logits``, its MMD value in ``mmd``, its ``logit_grads`` and the gradient
-    at its target rows (``target_grads``).
+    The rest is what a branch's forward leaves for its backward and for the
+    fold's own process, per branch: its ``logits``, its MMD value in ``mmd``,
+    its stacked source and target ``inputs`` (its backward writes their
+    gradient over them), its feature-layer output in ``features``, its MMD
+    gradient at those in ``mmd_grads``, and its ``logit_grads``.
     """
 
     def __init__(self, config: ModelConfig, sizes: tuple[int, ...]):
         rows, m, dims, n_br = sum(sizes), sizes[-1], config.cfe_dims, len(sizes) - 1
         self.sizes, self.offsets, self.lanes = sizes, np.cumsum((0,) + sizes), []
+        widths = [config.num_classes] * 2 + [dims[-1]] + [config.dsfe_dim] * 2
         self.x, flat, self.mmd, *rest = _carve(
-            [(rows, config.input_dim), (rows * max(dims),), (n_br,)]
-            + [(rows, d) for d in dims] + [(n + m, config.num_classes) for n in sizes[:-1]] * 2
-            + [(m, dims[-1])] * n_br)
+            [(rows, config.input_dim), (rows * max(dims),), (n_br,)] + [(rows, d) for d in dims]
+            + [(n + m, w) for w in widths for n in sizes[:-1]])
         self.outs = rest[:len(dims)]
         self.grads = [flat[:rows * d].reshape(rows, d) for d in dims]
-        self.logits, self.logit_grads, self.target_grads = (
+        self.logits, self.logit_grads, self.inputs, self.features, self.mmd_grads = (
             rest[i:i + n_br] for i in range(len(dims), len(rest), n_br))
 
 
@@ -234,11 +236,11 @@ def step_buffers(model: MsMdaModel, sizes: tuple[int, ...]) -> StepBuffers:
     return held
 
 
-def _branch(branch: Branch, rows: np.ndarray, out=None):
+def _branch(branch: Branch, rows: np.ndarray, features=None, logits=None):
     """A branch's feature-layer output on ``rows`` and its logits, written into
-    ``out`` when given."""
-    r = leaky_relu(branch.dsfe.forward(rows), LEAKY_SLOPE)
-    return r, branch.dsc.forward(r, out=out)
+    ``features`` and ``logits`` when given."""
+    r = leaky_relu(branch.dsfe.forward(rows, out=features), LEAKY_SLOPE, out=features)
+    return r, branch.dsc.forward(r, out=logits)
 
 
 def _forward(model: MsMdaModel, x: np.ndarray, outs=None):
@@ -268,61 +270,57 @@ def extractor_share(model: MsMdaModel, buf: StepBuffers, j: int, k: int) -> None
     _forward(model, buf.x[rows], [out[rows] for out in buf.outs])
 
 
-def branch_forward(model: MsMdaModel, buf: StepBuffers, i: int, kernel: KernelSpec):
+def branch_forward(model: MsMdaModel, buf: StepBuffers, i: int, kernel: KernelSpec) -> None:
     """Branch ``i`` of a step whose extractor output is in ``buf``: its
     forward on its source rows and the target rows, and their MMD by
-    ``kernel``. Writes its logits and MMD value into ``buf``; returns
-    what its backward reads."""
-    o, n, h = buf.offsets, buf.sizes[i], buf.outs[-1]
-    rows = np.vstack([h[o[i]:o[i + 1]], h[o[-2]:]])
-    r, _ = _branch(model.branches[i], rows, out=buf.logits[i])
-    buf.mmd[i], g_src, g_tgt = mmd_squared(r[:n], r[n:], kernel)
-    return rows, r, g_src, g_tgt
+    ``kernel``. Writes its inputs, features, logits, MMD value and MMD
+    gradient into ``buf``."""
+    o, n, h, g_mmd = buf.offsets, buf.sizes[i], buf.outs[-1], buf.mmd_grads[i]
+    np.concatenate([h[o[i]:o[i + 1]], h[o[-2]:]], out=buf.inputs[i])
+    r, _ = _branch(model.branches[i], buf.inputs[i], buf.features[i], buf.logits[i])
+    buf.mmd[i], g_mmd[:n], g_mmd[n:] = mmd_squared(r[:n], r[n:], kernel)
 
 
-def branch_backward(model: MsMdaModel, buf: StepBuffers, i: int, saved, alpha: float) -> None:
-    """Branch ``i``'s backward from its logit gradient in ``buf``, what its
-    forward ``saved`` and the step's MMD weight ``alpha``: adds into its
+def branch_backward(model: MsMdaModel, buf: StepBuffers, i: int, alpha: float) -> None:
+    """Branch ``i``'s backward from what its forward and its logit gradient
+    left in ``buf``, with the step's MMD weight ``alpha``: adds into its
     parameters' gradients and into the extractor output's gradient at its
-    source rows, and writes the gradient at the target rows into ``buf``."""
-    rows, r, g_src, g_tgt = saved
-    branch, o, n = model.branches[i], buf.offsets, buf.sizes[i]
+    source rows, and writes the gradient at its inputs over them."""
+    branch, o, n, rows, r = (model.branches[i], buf.offsets, buf.sizes[i], buf.inputs[i],
+                             buf.features[i])
     g_r = branch.dsc.backward(r, buf.logit_grads[i])
     # mmd component is the branch mean, so each branch carries alpha/N
-    weight = alpha / model.num_branches
-    g_r[:n] += weight * g_src
-    g_r[n:] += weight * g_tgt
-    g_joined = branch.dsfe.backward(rows, leaky_relu_backward(g_r, r, LEAKY_SLOPE))
+    g_r += alpha / model.num_branches * buf.mmd_grads[i]
+    # the input gradient overwrites the inputs once the weight gradient has read them
+    branch.dsfe.backward(rows, leaky_relu_backward(g_r, r, LEAKY_SLOPE), out=rows)
     # added to the zeroed rows, not assigned: 0.0 + -0.0 is 0.0
-    buf.grads[-1][o[i]:o[i + 1]] += g_joined[:n]
-    buf.target_grads[i][...] = g_joined[n:]
+    buf.grads[-1][o[i]:o[i + 1]] += rows[:n]
 
 
 _EXTRACT, _FORWARD, _BACKWARD, _LAYER = range(4)
 
 
-def _run_task(model: MsMdaModel, buf: StepBuffers, saved: list, ask, j: int, k: int) -> None:
+def _run_task(model: MsMdaModel, buf: StepBuffers, ask, j: int, k: int) -> None:
     """Process j of k's part of step task ``ask``, a (task, argument) pair:
     ``_EXTRACT`` its extractor share, ``_FORWARD`` (by the step's kernel) and
-    ``_BACKWARD`` (with its MMD weight) its branches j, j + k, ... (``saved``
-    keeps their forward for their backward), ``_LAYER`` that extractor layer's
-    backward from its masked output gradient: process 0 forms the input
-    gradient, and lane 1 the parameter gradients of a layer above the first
-    where there is a lane (else process 0)."""
+    ``_BACKWARD`` (with its MMD weight) its branches j, j + k, ...,
+    ``_LAYER`` that extractor layer's backward from its masked output
+    gradient: process 0 forms the input gradient, and lane 1 the parameter
+    gradients of a layer above the first where there is a lane (else process
+    0). Each reads and writes only ``buf`` and the model's arena."""
     task, arg = ask
     if task == _EXTRACT:
         extractor_share(model, buf, j, k)
-    elif task == _FORWARD:
-        saved += [(i, branch_forward(model, buf, i, arg)) for i in range(j, model.num_branches, k)]
-    elif task == _BACKWARD:
-        while saved:  # release each branch's activations once consumed, for a lower peak
-            branch_backward(model, buf, *saved.pop(0), arg)
     elif task == _LAYER:
         layer = arg
         # the first layer's input is the data batch: no gradient wanted there
         x, out = (buf.outs[layer - 1], buf.grads[layer - 1]) if layer else (buf.x, None)
         model.cfe[layer].backward(x, buf.outs[layer], input_grad=j == 0 < layer, out=out,
                                   param_grads=j > 0 or k == 1 or layer == 0)
+    else:
+        step = branch_forward if task == _FORWARD else branch_backward
+        for i in range(j, model.num_branches, k):
+            step(model, buf, i, arg)
 
 
 def _lanes_io(lanes, ask=None) -> None:
@@ -330,31 +328,30 @@ def _lanes_io(lanes, ask=None) -> None:
     answer; a lane that is gone raises EOFError with its index."""
     for j, conn in enumerate(lanes):
         try:
-            conn.send(ask) if ask else conn.recv()
+            conn.send(ask) if ask else conn.recv_bytes()
         except (EOFError, OSError):
             raise EOFError(j) from None
 
 
-def _step_task(model: MsMdaModel, buf: StepBuffers, saved: list, ask, lanes) -> None:
+def _step_task(model: MsMdaModel, buf: StepBuffers, ask, lanes) -> None:
     """Send ``ask`` to ``lanes``, run process 0's part here, await the lanes."""
     if lanes:
         _lanes_io(lanes, ask)
-    _run_task(model, buf, saved, ask, 0, len(buf.lanes) + 1)
+    _run_task(model, buf, ask, 0, len(buf.lanes) + 1)
     if lanes:
         _lanes_io(lanes)
 
 
 def serve_lane(model: MsMdaModel, conn, j: int, k: int, cpus) -> None:
     """Branch lane ``j`` of ``k``, pinned to ``cpus`` where they exist: runs its part
-    of each step task asked on ``conn``, answers with the ask, and keeps only its
-    branches' saved forward between asks. Returns once the fold's process is gone."""
+    of each step task asked on ``conn`` and answers with an empty message. It keeps
+    nothing between asks. Returns once the fold's process is gone."""
     with contextlib.suppress(OSError):  # a CPU this host does not have: unpinned
         os.sched_setaffinity(0, cpus)
-    saved = []
     with contextlib.suppress(EOFError, OSError):  # the fold's process is gone
         while ask := conn.recv():
-            _run_task(model, model.step_buffers, saved, ask, j, k)
-            conn.send(ask)
+            _run_task(model, model.step_buffers, ask, j, k)
+            conn.send_bytes(b"")
 
 
 @contextlib.contextmanager
@@ -412,7 +409,7 @@ def compute_losses(
     each branch on (its source, target). Per-branch MMD values are averaged
     into the mmd component; classification sums over branches; discrepancy
     compares the branches' target softmax outputs. A finite weighted total
-    is backpropagated, from the activations the forward returned, into
+    is backpropagated, from what the forward left in the step buffers, into
     every parameter's grad buffer (no optimizer step); a non-finite one is
     returned without a backward.
 
@@ -438,10 +435,10 @@ def compute_losses(
             raise ValidationError(f"{name} is empty")
     sizes = tuple(f.shape[0] for f in feats)
 
-    buf, saved = step_buffers(model, sizes), []
+    buf = step_buffers(model, sizes)
     np.concatenate(feats, out=buf.x)
-    _step_task(model, buf, saved, (_EXTRACT, None), buf.lanes)
-    _step_task(model, buf, saved, (_FORWARD, kernel), buf.lanes)
+    _step_task(model, buf, (_EXTRACT, None), buf.lanes)
+    _step_task(model, buf, (_FORWARD, kernel), buf.lanes)
     probs_tgt = [softmax(logits[n:]) for logits, n in zip(buf.logits, sizes)]
     cls_value, cls_grads = classification_loss(
         [logits[:n] for logits, n in zip(buf.logits, sizes)], [y for _, y in source_batches])
@@ -456,16 +453,16 @@ def compute_losses(
                                          sizes):
         g[:n] = g_cls
         g[n:] = softmax_backward(beta * g_disc, probs)
-    _step_task(model, buf, saved, (_BACKWARD, float(alpha)), buf.lanes)
+    _step_task(model, buf, (_BACKWARD, float(alpha)), buf.lanes)
     target_rows = grad_q[buf.offsets[-2]:]
-    for part in buf.target_grads:
-        target_rows += part
+    for rows, n in zip(buf.inputs, sizes):
+        target_rows += rows[n:]
     # lane 1 forms the weight gradients of layers 2..L beside this input-gradient
     # chain; it reads the layer's input, which the next mask overwrites
     for i in reversed(range(len(model.cfe))):
         # the masked gradient overwrites the layer's output, which nothing reads after it
         leaky_relu_backward(buf.grads[i], buf.outs[i], LEAKY_SLOPE, out=buf.outs[i])
-        _step_task(model, buf, saved, (_LAYER, i), buf.lanes[:1] if i else [])
+        _step_task(model, buf, (_LAYER, i), buf.lanes[:1] if i else [])
     return breakdown
 
 

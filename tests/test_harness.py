@@ -801,8 +801,11 @@ class TestForkedFolds:
         # 3 batches of 32 rows: batches and stack (2 x 8), outputs (12 + 10 + 8),
         # backward at the widest layer (3 x 12); twice that for the freed heap
         activations = 2 * 8 * (3 * 32) * (2 * 8 + 30 + 3 * 12)
+        # each branch's 64 joined rows: inputs (8), features and MMD gradient (2 x 6),
+        # logits and their gradient (2 x 3)
+        joined = 8 * 2 * 64 * (8 + 2 * 6 + 2 * 3)
         assert harness.process_bytes(config, build_tasks(config, 0)[0]) == (
-            domains + arena + activations) == 160624
+            domains + arena + activations + joined) == 187248
 
     @pytest.mark.parametrize("meminfo, cgroup, expected", [
         ("1000", None, 1024000),

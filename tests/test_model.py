@@ -359,7 +359,8 @@ class TestStepBuffers:
     def pointers(model):
         buf = model.step_buffers
         return [a.ctypes.data for a in [buf.x, *buf.outs, *buf.grads, *buf.logits,
-                                        *buf.logit_grads, *buf.target_grads]]
+                                        *buf.logit_grads, *buf.inputs, *buf.features,
+                                        *buf.mmd_grads]]
 
     def test_consecutive_steps_reuse_the_buffers(self):
         rng = np.random.default_rng(30)
@@ -376,7 +377,8 @@ class TestStepBuffers:
         compute_losses(model, *toy_batches(rng), alpha=0.7, beta=0.05)
         buf = model.step_buffers
         owners = {id(owner(a)) for a in [buf.x, *buf.outs, *buf.grads, buf.mmd,
-                                         *buf.logits, *buf.logit_grads, *buf.target_grads]}
+                                         *buf.logits, *buf.logit_grads, *buf.inputs,
+                                         *buf.features, *buf.mmd_grads]}
         assert owners == {id(owner(buf.x))}
         assert isinstance(owner(buf.x), mmap.mmap)
 
@@ -448,6 +450,22 @@ class TestBranchLanes:
                 assert len(laned.step_buffers.lanes) == 1
         assert multiprocessing.active_children() == []
         assert laned.arena.value.tobytes() == serial.arena.value.tobytes()
+
+    def test_step_without_backward_leaves_the_lanes_nothing(self):
+        # a non-finite total runs no backward: the next step's backward must
+        # read only its own forward, on a lane as in this process
+        rng = np.random.default_rng(38)
+        steps = [toy_batches(rng) for _ in range(2)]
+        arenas = []
+        for cpus in ([{0}], [{0}, {1}]):
+            model = init_model(TOY)
+            with branch_lanes(model, (5,) * 4, cpus, DataError):
+                totals = [train_step(model, batches, target, alpha=0.5, beta=beta).total
+                          for (batches, target), beta in zip(steps, (float("inf"), 0.01))]
+            assert np.isnan(totals[0]) and np.isfinite(totals[1])
+            arenas.append(model.arena.value.tobytes())
+        assert multiprocessing.active_children() == []
+        assert arenas[1] == arenas[0]
 
     def test_paper_shape_step_equals_one_process(self):
         # 15 stacked batches of 256 x 310 in two or three row shares, 14 branches,
@@ -629,7 +647,9 @@ class TestExtractBranchFeatures:
         feats = [f for f, _ in batches] + [target]
         buf = step_buffers(model, tuple(f.shape[0] for f in feats))
         _forward(model, np.concatenate(feats, out=buf.x), buf.outs)
-        branch_features = [branch_forward(model, buf, i, KernelSpec())[1] for i in range(3)]
+        for i in range(3):
+            branch_forward(model, buf, i, KernelSpec())
+        branch_features = buf.features
         target_features = list(extract_branch_features(model, target))
         for i in range(3):
             n_src = batches[i][0].shape[0]
