@@ -207,11 +207,11 @@ class StepBuffers:
     process writes its own rows of it, see ``extractor_share``, and its
     backward writes the masked gradient over it) and ``grads`` the gradient at
     each output, views of one block, as each is dead once the next is formed.
-    The rest is what a branch's forward leaves for its backward and for the
-    fold's own process, per branch: its ``logits``, its MMD value in ``mmd``,
-    its stacked source and target ``inputs`` (its backward writes their
-    gradient over them), its feature-layer output in ``features``, its MMD
-    gradient at those in ``mmd_grads``, and its ``logit_grads``.
+    The rest is per branch, written by its forward for its backward and the
+    fold's own process: its ``logits``, its MMD value in ``mmd``, its stacked
+    source and target ``inputs`` (its backward writes their gradient over
+    them), its feature-layer output in ``features`` and the MMD gradient
+    there in ``mmd_grads``; and its ``logit_grads``, which the fold writes.
     """
 
     def __init__(self, config: ModelConfig, sizes: tuple[int, ...]):
