@@ -156,15 +156,16 @@ def _rbf_block(d2, a, b, widest, scales, coeff, grad_a, grad_b, work):
     needs sum_s k_s / div_s, kept as sum_s k_s * div/div_s for the current
     div (halved at each step), so the matmuls run once per block.
     """
-    e, grad_k = _block(work, d2.shape, 0), _block(work, d2.shape, 1)
+    e, k_sum = _block(work, d2.shape, 0), _block(work, d2.shape, 1)
     np.divide(d2, -widest, out=e)
     np.exp(e, out=e)
-    np.copyto(grad_k, e)
     value = float(e.sum())
+    grad_k = e  # one scale reads its kernel in place
     for _ in range(scales - 1):
+        # halve the sum so far (at first the widest kernel) into its own block
+        grad_k = np.multiply(grad_k, 0.5, out=k_sum)
         np.square(e, out=e)
         value += float(e.sum())
-        grad_k *= 0.5
         grad_k += e
     scale = coeff * (-2.0 / scales) / (widest * 0.5 ** (scales - 1))
     k_b = grad_k @ b
@@ -176,12 +177,14 @@ def _rbf_block(d2, a, b, widest, scales, coeff, grad_a, grad_b, work):
     return coeff * value / scales
 
 
-def mmd_squared(source, target, kernel: KernelSpec | None = None):
+def mmd_squared(source, target, kernel: KernelSpec | None = None, out=None):
     """Biased (V-statistic) squared MMD between two sample matrices.
 
     Implements mean(K_ss) + mean(K_tt) - 2 mean(K_st) over all pairs,
     diagonal included. Returns (value, grad_source, grad_target); tiny
-    negative values from roundoff are clamped to zero.
+    negative values from roundoff are clamped to zero. ``out``, a pair of
+    arrays shaped as source and target, receives the gradients, which are
+    then the arrays returned.
     """
     kernel = kernel or KernelSpec()
     source = as_matrix(source, "source", require_finite=False)
@@ -194,8 +197,9 @@ def mmd_squared(source, target, kernel: KernelSpec | None = None):
             "differ in feature dimension"
         )
     n, m = source.shape[0], target.shape[0]
-    grad_s = np.zeros_like(source)
-    grad_t = np.zeros_like(target)
+    grad_s, grad_t = out or (np.empty_like(source), np.empty_like(target))
+    grad_s.fill(0.0)
+    grad_t.fill(0.0)
 
     if kernel.kind == "linear":
         # k(x, y) = x . y, so MMD^2 = |mean(source) - mean(target)|^2

@@ -278,7 +278,7 @@ def branch_forward(model: MsMdaModel, buf: StepBuffers, i: int, kernel: KernelSp
     o, n, h, g_mmd = buf.offsets, buf.sizes[i], buf.outs[-1], buf.mmd_grads[i]
     np.concatenate([h[o[i]:o[i + 1]], h[o[-2]:]], out=buf.inputs[i])
     r, _ = _branch(model.branches[i], buf.inputs[i], buf.features[i], buf.logits[i])
-    buf.mmd[i], g_mmd[:n], g_mmd[n:] = mmd_squared(r[:n], r[n:], kernel)
+    buf.mmd[i] = mmd_squared(r[:n], r[n:], kernel, out=(g_mmd[:n], g_mmd[n:]))[0]
 
 
 def branch_backward(model: MsMdaModel, buf: StepBuffers, i: int, alpha: float) -> None:

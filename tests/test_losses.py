@@ -173,6 +173,19 @@ class TestMmdSquared:
         assert_array_equal(pinned_s, g_s)
         assert_array_equal(pinned_t, g_t)
 
+    @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.kind)
+    def test_out_receives_the_allocating_call_gradients(self, kernel):
+        rng = np.random.default_rng(14)
+        source, target = rng.normal(size=(11, 4)), rng.normal(size=(9, 4)) + 0.5
+        value, g_s, g_t = mmd_squared(source, target, kernel)
+        out = (np.full_like(source, np.nan), np.full_like(target, np.nan))
+        out_value, out_s, out_t = mmd_squared(source, target, kernel, out=out)
+        assert out_s is out[0] and out_t is out[1]
+        assert out_value == value
+        # the bits, signed zeros included
+        assert out_s.tobytes() == g_s.tobytes()
+        assert out_t.tobytes() == g_t.tobytes()
+
     def test_invalid_kernel_spec(self):
         with pytest.raises(ValidationError):
             KernelSpec(kind="polynomial")

@@ -58,3 +58,26 @@ def test_matrix_on_four_usable_cpus_matches_golden_listing(tmp_path, monkeypatch
     usable_cpus(monkeypatch, 4)
     assert_matrix_matches_golden_listing((tmp_path / "matrix").resolve())
     assert len(lanes.read_text().splitlines()) > 0
+
+
+def test_all_cores_rewrites_only_listings_whose_two_runs_agree(tmp_path, monkeypatch, capsys):
+    tool = load_tool()
+    prefix = tool.build_prefix()
+    runs = {"Agree": ["new\n", "new\n"], "Differ": ["new\n", "newer\n"], "Dies": [None, None]}
+    for core in runs:
+        (tmp_path / f"{prefix}{core}.txt").write_text("old\n")
+    (tmp_path / "numpy-0.0_openblas-0.0_Agree.txt").write_text("old\n")
+
+    def core_listing(core, workdir):
+        listing = runs[core].pop(0)
+        return listing, "" if listing else "exit -4: SIGILL"
+
+    monkeypatch.setattr(tool, "GOLDEN", tmp_path)
+    monkeypatch.setattr(tool, "core_listing", core_listing)
+    assert tool.all_cores() == 1
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == {
+        f"{prefix}Agree.txt": "new\n", f"{prefix}Differ.txt": "old\n",
+        f"{prefix}Dies.txt": "old\n", "numpy-0.0_openblas-0.0_Agree.txt": "old\n"}
+    err = capsys.readouterr().err
+    assert f"skip {prefix}Differ.txt: the two runs differ" in err
+    assert f"skip {prefix}Dies.txt: exit -4: SIGILL" in err

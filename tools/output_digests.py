@@ -1,6 +1,6 @@
 """Run a fixed matrix of msmda commands and print a digest of every file written.
 
-Usage: python tools/output_digests.py [WORKDIR]
+Usage: python tools/output_digests.py [WORKDIR | --all-cores]
 
 Every command runs in-process through ``msmda.cli.main``, imported from the
 ``src/`` next to this script, on small data: a 3x4 CSV grid from
@@ -23,8 +23,16 @@ which must not exist yet.
 The bytes depend on the BLAS build, so the expected listing is kept per build
 as ``tests/golden/<build_key()>.txt``, and ``tests/test_output_digests.py``
 diffs the matrix against it; its skip or failure message names the key of
-this build. Write a new listing to that file only with a change that alters
-output bytes on purpose, never to make the test pass.
+this build, which the tool also prints on stderr. Write a new listing to that
+file only with a change that alters output bytes on purpose, never to make
+the test pass.
+
+``--all-cores`` rewrites every listing in ``tests/golden/`` of this numpy and
+OpenBLAS build, one per BLAS core: it runs the matrix twice for each, in child
+interpreters under ``OPENBLAS_CORETYPE=<core>`` and one BLAS thread, and writes
+the listing only when the two runs agree and the children's build key names
+that core. It skips any other listing with a message on stderr (a core this
+CPU cannot run, a run that fails or two runs that differ) and then exits 1.
 """
 
 from __future__ import annotations
@@ -34,7 +42,9 @@ import ctypes
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -45,6 +55,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from msmda.cli import main  # noqa: E402
 
+GOLDEN = Path(__file__).resolve().parents[1] / "tests" / "golden"
 NET = ["--cfe-dims", "16,12,8", "--dsfe-dim", "6", "--epochs", "3", "--batch-size", "32"]
 GRID_SYNTH = dict(num_domains=12, samples_per_domain=60, num_classes=3, feature_dim=10,
                   class_separation=3.0, domain_shift_scale=1.0, noise_std=1.0, rng_seed=0)
@@ -196,19 +207,58 @@ def blas_core() -> str:
     return re.sub(r"[^A-Za-z0-9.]+", "-", model.strip())
 
 
+def build_prefix() -> str:
+    """numpy and OpenBLAS versions: the part of the build key every core shares."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"numpy-{np.__version__}_openblas-{blas.get('version', 'unknown')}_"
+
+
 def build_key() -> str:
     """numpy version, OpenBLAS version and core: what the output bytes depend on."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return f"numpy-{np.__version__}_openblas-{blas.get('version', 'unknown')}_{blas_core()}"
+    return build_prefix() + blas_core()
+
+
+def core_listing(core: str, workdir: Path) -> tuple[str | None, str]:
+    """The listing of one child run under OpenBLAS's ``core`` kernels, or None
+    and why not."""
+    env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, __file__, str(workdir)], env=env,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        return None, f"exit {proc.returncode}: {proc.stderr.strip()[-300:]}"
+    key = [line for line in proc.stderr.splitlines() if line.startswith("build key: ")]
+    if key[-1:] != [f"build key: {build_prefix()}{core}"]:
+        return None, f"the child ran {key[-1][11:] if key else 'an unknown build'}"
+    return proc.stdout, ""
+
+
+def all_cores() -> int:
+    skipped = 0
+    for golden in sorted(GOLDEN.glob(f"{build_prefix()}*.txt")):
+        core = golden.stem[len(build_prefix()):]
+        with tempfile.TemporaryDirectory(prefix="msmda-digests-") as tmp:
+            (first, why), (second, why_2) = (core_listing(core, Path(tmp) / str(i))
+                                             for i in range(2))
+        if first is None or second is None or first != second:
+            skipped += 1
+            print(f"skip {golden.name}: {why or why_2 or 'the two runs differ'}",
+                  file=sys.stderr)
+            continue
+        golden.write_text(first)
+        print(f"wrote {golden.name}", file=sys.stderr)
+    return 1 if skipped else 0
 
 
 def run(argv: list[str]) -> int:
-    if len(argv) > 1:
-        print("usage: python tools/output_digests.py [WORKDIR]", file=sys.stderr)
+    if argv == ["--all-cores"]:
+        return all_cores()
+    if len(argv) > 1 or argv[:1] and argv[0].startswith("-"):
+        print("usage: python tools/output_digests.py [WORKDIR | --all-cores]", file=sys.stderr)
         return 2
     root = Path(argv[0] if argv else tempfile.mkdtemp(prefix="msmda-digests-")) / "matrix"
     run_matrix(root.resolve())
     print("\n".join(digests(root.resolve())))
+    print(f"build key: {build_key()}", file=sys.stderr)
     return 0
 
 
