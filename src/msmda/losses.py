@@ -86,24 +86,28 @@ def _block(work, shape, index=0):
 def _sq_dists(source, target):
     """(d_ss, d_tt, d_st, scratch), all views of one buffer.
 
-    Distances are (|a_i|^2 + |b_j|^2) - 2 a_i.b_j clamped at zero, rounded
-    in that order so they (and the median bandwidth) match the textbook
-    expression bit for bit. The scratch, two blocks of the largest shape,
-    serves in turn the norm sums, the median's (n+m)(n+m-1)/2 joint pairs
-    and each kernel block; one buffer per call spares fresh page faults.
+    Each block is one GEMM of augmented rows clamped at zero:
+    [a_i, |a_i|^2, 1] . [-2 b_j, 1, |b_j|^2] = |a_i|^2 + |b_j|^2 - 2 a_i.b_j,
+    so a symmetric block is symmetric only up to rounding (its readers take
+    its upper triangle or its row sums). The scratch, two blocks of the
+    largest shape, first holds the augmented rows, then in turn the median's
+    (n+m)(n+m-1)/2 joint pairs and each kernel block; one buffer per call
+    spares fresh page faults.
     """
-    n, m = len(source), len(target)
-    work = np.empty(n * n + m * m + n * m + 2 * max(n * n, m * m, n * m))
+    n, m, k = len(source), len(target), source.shape[1]
+    work = np.empty(n * n + m * m + n * m + 2 * max(n * n, m * m, n * m, (n + m) * (k + 2)))
     scratch = work[n * n + m * m + n * m :]
-    sq_s = (source * source).sum(axis=1)
-    sq_t = (target * target).sum(axis=1)
+    left, right = scratch[: 2 * (n + m) * (k + 2)].reshape(2, n + m, k + 2)
+    left[:n, :k], left[n:, :k] = source, target
+    np.multiply(left[:, :k], -2.0, out=right[:, :k])
+    np.einsum("ij,ij->i", left[:, :k], left[:, :k], out=left[:, k])
+    right[:, k + 1] = left[:, k]
+    left[:, k + 1] = right[:, k] = 1.0
     dists, offset = [], 0
-    for a, b, sq_a, sq_b in ((source, source, sq_s, sq_s), (target, target, sq_t, sq_t),
-                             (source, target, sq_s, sq_t)):
-        d = np.matmul(a, b.T, out=_block(work[offset:], (len(a), len(b))))
+    for a, b in ((slice(n), slice(n)), (slice(n, None),) * 2, (slice(n), slice(n, None))):
+        rows, cols = left[a], right[b]
+        d = np.matmul(rows, cols.T, out=_block(work[offset:], (len(rows), len(cols))))
         offset += d.size
-        d *= -2.0
-        d += np.add(sq_a[:, None], sq_b, out=_block(scratch, d.shape))
         dists.append(np.maximum(d, 0.0, out=d))
     return (*dists, scratch)
 
@@ -150,30 +154,32 @@ def _rbf_block(d2, a, b, widest, scales, coeff, grad_a, grad_b, work):
     """Accumulate coeff * mean_scales sum_{i,j} exp(-|a_i - b_j|^2 / div).
 
     ``d2`` is the precomputed squared-distance matrix for (a, b). The
-    ``scales`` divisors halve from ``widest``: one ``exp`` gives the widest
-    kernel and each narrower one is the one before squared
-    (exp(-d/b) = exp(-d/2b)^2). The value sums plain kernels; the gradient
-    needs sum_s k_s / div_s, kept as sum_s k_s * div/div_s for the current
-    div (halved at each step), so the matmuls run once per block.
+    ``scales`` divisors halve from ``widest``: one ``exp`` of d2 times
+    -1/widest gives the widest kernel and each narrower one is the one
+    before squared (exp(-d/b) = exp(-d/2b)^2), so its sum is the dot of the
+    one before with itself. The gradient needs sum_s k_s / div_s, kept as
+    sum_s k_s * div/div_s for the current div (halved at each step), so the
+    matmuls run once per block; its row sums are products with ones, which
+    BLAS forms faster than numpy's axis sums.
     """
     e, k_sum = _block(work, d2.shape, 0), _block(work, d2.shape, 1)
-    np.divide(d2, -widest, out=e)
+    np.multiply(d2, -1.0 / widest, out=e)
     np.exp(e, out=e)
-    value = float(e.sum())
+    value, flat = float(e.sum()), e.ravel()
     grad_k = e  # one scale reads its kernel in place
     for _ in range(scales - 1):
         # halve the sum so far (at first the widest kernel) into its own block
         grad_k = np.multiply(grad_k, 0.5, out=k_sum)
+        value += float(flat @ flat)  # the sum of the next, squared kernel
         np.square(e, out=e)
-        value += float(e.sum())
         grad_k += e
     scale = coeff * (-2.0 / scales) / (widest * 0.5 ** (scales - 1))
-    k_b = grad_k @ b
-    # a symmetric block (a is b) has grad_k.T @ a == grad_k @ b; its row and
-    # column sums still differ in the last bits, so both are kept
-    k_a = k_b if a is b else grad_k.T @ a
-    grad_a += scale * (grad_k.sum(axis=1, keepdims=True) * a - k_b)
-    grad_b += scale * (grad_k.sum(axis=0)[:, None] * b - k_a)
+    # a symmetric block (a is b) gives its columns the update of its rows, so
+    # it makes that one update twice over from its row sums
+    grad_a += (2.0 * scale if a is b else scale) * (
+        (grad_k @ np.ones(len(b)))[:, None] * a - grad_k @ b)
+    if a is not b:
+        grad_b += scale * ((np.ones(len(a)) @ grad_k)[:, None] * b - grad_k.T @ a)
     return coeff * value / scales
 
 
@@ -198,8 +204,7 @@ def mmd_squared(source, target, kernel: KernelSpec | None = None, out=None):
         )
     n, m = source.shape[0], target.shape[0]
     grad_s, grad_t = out or (np.empty_like(source), np.empty_like(target))
-    grad_s.fill(0.0)
-    grad_t.fill(0.0)
+    grad_s[...] = grad_t[...] = 0.0
 
     if kernel.kind == "linear":
         # k(x, y) = x . y, so MMD^2 = |mean(source) - mean(target)|^2

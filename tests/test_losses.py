@@ -12,6 +12,7 @@ from msmda.losses import (
     NUM_SCALES,
     KernelSpec,
     _joint_median,
+    _sq_dists,
     alpha_schedule,
     classification_loss,
     discrepancy_loss,
@@ -225,6 +226,48 @@ class TestMmdSquared:
         assert resolved.median == 1.0
 
 
+def _random_batches(seed):
+    """A source and a target batch of 1-20 rows and 1-40 features, at a
+    random scale and offset, so the norms dwarf some distances."""
+    rng = np.random.default_rng(seed)
+    n, m, k = rng.integers(1, 21), rng.integers(1, 21), rng.integers(1, 41)
+    scale, offset = 10.0 ** rng.integers(-3, 4), 10.0 ** rng.integers(-3, 4)
+    return rng, rng.normal(size=(n, k)) * scale, rng.normal(size=(m, k)) * scale + offset
+
+
+class TestSqDists:
+    """Each distance block is one GEMM of augmented rows: never negative, near
+    the direct sum of squared differences, and NaN where a row is."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_blocks_are_near_the_direct_sums(self, seed):
+        _, source, target = _random_batches(seed)
+        d_ss, d_tt, d_st, _ = _sq_dists(source, target)
+        for d, a, b in ((d_ss, source, source), (d_tt, target, target), (d_st, source, target)):
+            direct = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+            bound = 1e-12 * ((a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1) + 1.0)
+            assert (d >= 0.0).all()
+            assert (np.abs(d - direct) <= bound).all()
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_nan_feature_makes_its_row_nan(self, seed):
+        rng, source, target = _random_batches(seed)
+        side = rng.integers(2)
+        batch = (source, target)[side]
+        row = rng.integers(len(batch))
+        batch[row, rng.integers(batch.shape[1])] = np.nan
+        d_ss, d_tt, d_st, _ = _sq_dists(source, target)
+        nan_s = np.zeros(len(source), bool)
+        nan_t = np.zeros(len(target), bool)
+        (nan_s, nan_t)[side][row] = True
+        for d, rows, cols in ((d_ss, nan_s, nan_s), (d_tt, nan_t, nan_t), (d_st, nan_s, nan_t)):
+            touched = rows[:, None] | cols[None, :]
+            assert np.isnan(d[touched]).all()
+            assert np.isfinite(d[~touched]).all()
+
+
 def _textbook_sq_dists(a, b):
     sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
     return np.maximum(sq, 0.0)
@@ -303,13 +346,23 @@ class TestJointMedian:
         assert _single_select_median(*(_textbook_sq_dists(x, x),) * 3) == 1.0
 
 
+def _augmented_sq_dists(a, b):
+    """|a_i|^2 + |b_j|^2 - 2 a_i.b_j as one product of augmented rows, clamped at zero."""
+    ones_a, ones_b = np.ones((len(a), 1)), np.ones((len(b), 1))
+    left = np.hstack([a, np.einsum("ij,ij->i", a, a)[:, None], ones_a])
+    right = np.hstack([-2.0 * b, ones_b, np.einsum("ij,ij->i", b, b)[:, None]])
+    return np.maximum(left @ right.T, 0.0)
+
+
 def _per_scale_exp_mmd(source, target, divisors):
     """One exp per scale, accumulated in the order mmd_squared uses.
 
-    Distances use the textbook expression, which mmd_squared must match
-    bit for bit; divisors are visited widest first, each scale's kernel sum
-    is added as a float, and the gradient's sum_s k_s / div_s is kept in
-    units of the current divisor.
+    Distances use the augmented-row product, which mmd_squared must match
+    bit for bit; divisors are visited widest first, each scale's kernel is
+    the exp of the distances times -1/div, its sum is added as a float, and
+    the gradient's sum_s k_s / div_s is kept in units of the current divisor.
+    Row and column sums are products with ones. A symmetric block makes its
+    rows' update twice over.
     """
     order = sorted(divisors, reverse=True)
     grad_s, grad_t = np.zeros_like(source), np.zeros_like(target)
@@ -320,16 +373,20 @@ def _per_scale_exp_mmd(source, target, divisors):
         (target, target, 1.0 / (m * m), grad_t, grad_t),
         (source, target, -2.0 / (n * m), grad_s, grad_t),
     ):
-        d2 = _textbook_sq_dists(a, b)
+        d2 = _augmented_sq_dists(a, b)
         value = 0.0
         weighted = None
         for prev, div in zip([None] + order, order):
-            e = np.exp(-d2 / div)
+            e = np.exp(d2 * (-1.0 / div))
             value += float(e.sum())
             weighted = e.copy() if prev is None else weighted * (div / prev) + e
         scale = coeff * (-2.0 / len(order)) / order[-1]
-        grad_a += scale * (weighted.sum(axis=1, keepdims=True) * a - weighted @ b)
-        grad_b += scale * (weighted.sum(axis=0)[:, None] * b - weighted.T @ a)
+        rows_update = (weighted @ np.ones(len(b)))[:, None] * a - weighted @ b
+        if a is b:
+            grad_a += (2.0 * scale) * rows_update
+        else:
+            grad_a += scale * rows_update
+            grad_b += scale * ((np.ones(len(a)) @ weighted)[:, None] * b - weighted.T @ a)
         total += coeff * value / len(order)
     return max(total, 0.0), grad_s, grad_t
 
