@@ -2,23 +2,22 @@
 
 Usage:
 
-    python tools/mmd_probe.py CHANGE_DIR PARENT_DIR [--samples 8] [--cpu N] \\
-        [--out FILE]
+    python tools/mmd_probe.py CHANGE_DIR PARENT_DIR > OUT.json
 
 Each checkout's ``src/`` is imported in its own fresh interpreter per sample,
-pinned to one CPU (``--cpu``, by default the first usable one) with
+``SAMPLES`` per side, pinned to the first usable CPU with
 ``OPENBLAS_NUM_THREADS=1``. A sample times the multiscale kernel, its median
 resolved per call as in a training step, on inputs drawn from a fixed
 ``numpy.random.default_rng`` seed, at each shape of ``SHAPES`` (rows per side
 x features: the criterion-7 fixture's 128 x 8 and the paper's 256 x 32). It
 takes the best of 5 batches of 100 calls after one warm call. Sample i runs
 the change first when i is even and the parent first when it is odd, so run
-order cancels over an even count.
+order cancels over the even ``SAMPLES``.
 
-The output holds each checkout's git state (as ``bench_pairs.py`` records
-it), every sample's per-call time in microseconds, and per shape
-and side the median and inclusive quartiles, plus ``change_over_parent``, the
-ratio of the medians. It goes to stdout, and to ``--out`` when given.
+The output, on stdout, holds each checkout's git state (as ``bench_pairs.py``
+records it), every sample's per-call time in microseconds, and per shape and
+side the median and inclusive quartiles, plus ``change_over_parent``, the
+ratio of the medians.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from bench_pairs import git_state
 
 SHAPES = ((128, 8), (256, 32))
 SEED = 3131
-BATCHES, CALLS = 5, 100
+SAMPLES, BATCHES, CALLS = 10, 5, 100
 
 CHILD = """
 import json, os, sys, time
@@ -76,15 +75,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("change")
     parser.add_argument("parent")
-    parser.add_argument("--samples", type=int, default=8)
-    parser.add_argument("--cpu", type=int, default=min(os.sched_getaffinity(0)))
-    parser.add_argument("--out")
     args = parser.parse_args(argv)
-    sides = {"change": args.change, "parent": args.parent}
+    sides, cpu = {"change": args.change, "parent": args.parent}, min(os.sched_getaffinity(0))
     samples = {side: [] for side in sides}
-    for i in range(args.samples):
+    for i in range(SAMPLES):
         for side in (("change", "parent") if i % 2 == 0 else ("parent", "change")):
-            samples[side].append(sample(sides[side], args.cpu))
+            samples[side].append(sample(sides[side], cpu))
     summary = {}
     for n, d in SHAPES:
         shape = f"{n}x{d}"
@@ -95,14 +91,10 @@ def main(argv=None) -> int:
                                        / stats["parent"]["median_us"])
         summary[shape] = stats
     doc = {"what": "losses.mmd_squared per call, rbf_multiscale, best of "
-                   f"{BATCHES} x {CALLS} calls, one BLAS thread, pinned to CPU {args.cpu}",
+                   f"{BATCHES} x {CALLS} calls, one BLAS thread, pinned to CPU {cpu}",
            "seed": SEED, **{side: git_state(path) for side, path in sides.items()},
            "samples_us": samples, "summary": summary}
-    text = json.dumps(doc, indent=1)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    print(text)
+    print(json.dumps(doc, indent=1))
     return 0
 
 

@@ -226,9 +226,10 @@ def core_listing(core: str, workdir: Path) -> tuple[str | None, str]:
                           capture_output=True, text=True)
     if proc.returncode != 0:
         return None, f"exit {proc.returncode}: {proc.stderr.strip()[-300:]}"
-    key = [line for line in proc.stderr.splitlines() if line.startswith("build key: ")]
-    if key[-1:] != [f"build key: {build_prefix()}{core}"]:
-        return None, f"the child ran {key[-1][11:] if key else 'an unknown build'}"
+    keys = [line.removeprefix("build key: ") for line in proc.stderr.splitlines()
+            if line.startswith("build key: ")]
+    if keys[-1:] != [build_prefix() + core]:
+        return None, f"the child ran {keys[-1] if keys else 'an unknown build'}"
     return proc.stdout, ""
 
 
