@@ -146,8 +146,9 @@ class SynthConfig:
 def _zscore(x: np.ndarray, axis) -> np.ndarray:
     mean = x.mean(axis=axis, keepdims=True)
     std = x.std(axis=axis, keepdims=True)  # population std (divide by n)
-    out = np.zeros_like(x)
-    np.divide(x - mean, std, out=out, where=std > 0.0)
+    out = x - mean  # the one array of x's size this makes
+    np.divide(out, std, out=out, where=std > 0.0)
+    np.copyto(out, 0.0, where=~(std > 0.0))
     return out
 
 
@@ -349,14 +350,18 @@ class BatchSampler:
                 self._cursors[i] = 0
         return np.concatenate(out) if len(out) > 1 else out[0]
 
-    def next_batch(self):
-        """One (source_batches, target_features) tuple; sources carry labels."""
-        source_batches = []
-        for i, d in enumerate(self.task.sources):
+    def next_batch(self, out: np.ndarray):
+        """One (source_batches, target_features) tuple; sources carry labels.
+        The features are views of ``out``, the step's stacked input, into whose
+        ``batch_size`` rows per domain (sources, then target) they are gathered."""
+        b, labels = self.batch_size, []
+        rows = [out[i * b:(i + 1) * b] for i in range(self.task.num_sources + 1)]
+        for i, (d, r) in enumerate(zip([*self.task.sources, self.task.target], rows)):
             idx = self._take(i)
-            source_batches.append((d.features[idx], d.labels[idx]))
-        target_idx = self._take(len(self.task.sources))
-        return source_batches, self.task.target.features[target_idx]
+            # a permutation's indices need no clipping; mode "raise" would fill a copy of out
+            np.take(d.features, idx, axis=0, out=r, mode="clip")
+            labels.append(d.labels[idx])
+        return list(zip(rows, labels[:-1])), rows[-1]
 
 
 def _parse_rows(path, lines: list[str], dim: int, num_classes: int | None):

@@ -54,6 +54,7 @@ from .model import (
     loss_weights,
     predict,
     save_checkpoint,
+    step_buffers,
     train_step,
 )
 from .neuralcore import (
@@ -238,7 +239,7 @@ def train_fold(
             w_mmd, w_disc = loss_weights(train, epoch)
             sums = np.zeros(4)
             for _ in range(iters):
-                source_batches, target_batch = sampler.next_batch()
+                source_batches, target_batch = sampler.next_batch(step_buffers(model, sizes).x)
                 bd = train_step(
                     model, source_batches, target_batch,
                     alpha=w_mmd, beta=w_disc, lr=train.lr, kernel=config.kernel,
@@ -424,7 +425,8 @@ def process_bytes(config: ExperimentConfig, task: TransferTask, lanes: int = 1) 
     processes, from a built ``task``'s shapes: the domains it makes (a
     synthetic seed's, the baseline's merged sources; a grid is built before
     the fork and shared), its arena with gradient and Adam moments, a step's
-    or evaluation's activations, and what each further lane adds."""
+    activations (evaluation runs through the same buffers), and what each further
+    lane adds."""
     dim, row = task.target.feature_dim, 8 * (task.target.feature_dim + 1)
     source_rows = sum(s.num_samples for s in task.sources)
     domains = 0 if config.data_root else row * (source_rows + task.target.num_samples)
@@ -434,11 +436,12 @@ def process_bytes(config: ExperimentConfig, task: TransferTask, lanes: int = 1) 
     model = replace(config.model, num_branches=branches, input_dim=dim,
                     num_classes=task.target.num_classes)
     b = config.train.batch_size
-    rows = max(b * (branches + 1), task.target.num_samples)
-    # per row, the sampler's batches and the model's step buffers (the stacked input,
+    rows = b * (branches + 1)
+    # per row, the model's step buffers (the stacked input the sampler gathers into,
     # one output per layer, a gradient at the widest) and room for two temporaries
-    # there, counted twice: that covers the ~200 MiB a paper-shape worker adds
-    per_row = 2 * dim + sum(model.cfe_dims) + 3 * max(model.cfe_dims)
+    # there, counted twice: 222.2 MiB in all at paper shape (244.7 with a lane), where
+    # a fold's process tree peaked at 221.5-221.6 (237.3-237.4) MiB of summed PSS
+    per_row = dim + sum(model.cfe_dims) + 3 * max(model.cfe_dims)
     # per branch, its 2b joined rows' inputs, features, MMD gradient, logits and their gradient
     joined = 8 * branches * 2 * b * (model.cfe_dims[-1] + 2 * (model.dsfe_dim + model.num_classes))
     # a further lane: the interpreter's pages it writes (about 5 MiB), one LeakyReLU

@@ -203,26 +203,29 @@ class StepBuffers:
     are views of one MAP_SHARED mapping, so branch lanes forked after it work
     on them in place; ``lanes`` holds the connections to them.
 
-    ``x`` is the stacked input, ``outs`` each extractor layer's output (each
-    process writes its own rows of it, see ``extractor_share``, and its
-    backward writes the masked gradient over it) and ``grads`` the gradient at
-    each output, views of one block, as each is dead once the next is formed.
-    The rest is per branch, written by its forward for its backward and the
-    fold's own process: its ``logits``, its MMD value in ``mmd``, its stacked
-    source and target ``inputs`` (its backward writes their gradient over
-    them), its feature-layer output in ``features`` and the MMD gradient
-    there in ``mmd_grads``; and its ``logit_grads``, which the fold writes.
+    ``x`` is the stacked input (``BatchSampler.next_batch`` gathers a step's
+    batches into it), ``outs`` each extractor layer's output (each process
+    writes its own rows of it, see ``extractor_share``, and its backward writes
+    the masked gradient over it) and ``grads`` the gradient at each output,
+    views of ``block``, as each is dead once the next is formed; ``predict``
+    writes a chunk's branch features and logits there between steps. The
+    rest is per branch, written by its forward for its backward and the fold's
+    own process: its ``logits``, its MMD value in ``mmd``, its stacked source
+    and target ``inputs`` (its backward writes their gradient over them), its
+    feature-layer output in ``features`` and the MMD gradient there in
+    ``mmd_grads``; and its ``logit_grads``, which the fold writes.
     """
 
     def __init__(self, config: ModelConfig, sizes: tuple[int, ...]):
         rows, m, dims, n_br = sum(sizes), sizes[-1], config.cfe_dims, len(sizes) - 1
         self.sizes, self.offsets, self.lanes = sizes, np.cumsum((0,) + sizes), []
         widths = [config.num_classes] * 2 + [dims[-1]] + [config.dsfe_dim] * 2
-        self.x, flat, self.mmd, *rest = _carve(
-            [(rows, config.input_dim), (rows * max(dims),), (n_br,)] + [(rows, d) for d in dims]
+        block = rows * max(*dims, config.dsfe_dim + config.num_classes)
+        self.x, self.block, self.mmd, *rest = _carve(
+            [(rows, config.input_dim), (block,), (n_br,)] + [(rows, d) for d in dims]
             + [(n + m, w) for w in widths for n in sizes[:-1]])
         self.outs = rest[:len(dims)]
-        self.grads = [flat[:rows * d].reshape(rows, d) for d in dims]
+        self.grads = [self.block[:rows * d].reshape(rows, d) for d in dims]
         self.logits, self.logit_grads, self.inputs, self.features, self.mmd_grads = (
             rest[i:i + n_br] for i in range(len(dims), len(rest), n_br))
 
@@ -405,8 +408,9 @@ def compute_losses(
 ) -> LossBreakdown:
     """Forward and backward pass of one training step.
 
-    Runs the common extractor once on all batches stacked together, then
-    each branch on (its source, target). Per-branch MMD values are averaged
+    Runs the common extractor once on all batches stacked together (in place
+    when they are their rows of the step buffers, as the sampler gives them),
+    then each branch on (its source, target). Per-branch MMD values are averaged
     into the mmd component; classification sums over branches; discrepancy
     compares the branches' target softmax outputs. A finite weighted total
     is backpropagated, from what the forward left in the step buffers, into
@@ -489,13 +493,32 @@ def train_step(
 def predict(model: MsMdaModel, target_features):
     """Average the branch softmax outputs; ties go to the lowest class.
 
+    The target runs through the step buffers in chunks of their rows, cut on
+    multiples of 8 rows as ``extractor_share`` cuts, so every row's bits are
+    those of one pass and no activation is sized by the target. A model with
+    no buffers, or under 16 rows of them, uses a default batch's, made here.
+
     Returns (avg_probs, labels, per_branch_probs).
     """
-    _, branches = _forward(model, _input_matrix(model, target_features, "target features"))
-    per_branch = [softmax(logits) for _, logits in branches]
+    x = _input_matrix(model, target_features, "target features")
+    config, buf = model.config, model.step_buffers
+    if buf is None or buf.x.shape[0] < 16:
+        buf = StepBuffers(config, (TrainConfig.batch_size,) * (model.num_branches + 1))
+    w, c = config.dsfe_dim, config.num_classes
+    per_branch = np.empty((model.num_branches, x.shape[0], c))
+    cuts = list(range(0, x.shape[0], buf.x.shape[0] // 8 * 8)) + [x.shape[0]]
+    if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:  # one row would take numpy's gemv path
+        cuts[-2] -= 8
+    for a, b in zip(cuts, cuts[1:]):
+        n = b - a
+        acts, _ = _forward(model, x[a:b], [out[:n] for out in buf.outs])
+        features = buf.block[:n * w].reshape(n, w)
+        logits = buf.block[n * w:n * (w + c)].reshape(n, c)
+        for probs, branch in zip(per_branch, model.branches):
+            probs[a:b] = softmax(_branch(branch, acts[-1], features, logits)[1])
     avg = np.mean(per_branch, axis=0)
     labels = np.argmax(avg, axis=1).astype(np.int64)
-    return avg, labels, per_branch
+    return avg, labels, list(per_branch)
 
 
 def extract_branch_features(model: MsMdaModel, features):

@@ -769,11 +769,16 @@ class TestBatchSampler:
         target = small_domain(rng, rows=target_size, domain_id=(2, 1))
         return TransferTask(sources=sources, target=target, fold_id="t")
 
+    @staticmethod
+    def stacked(task, batch_size):
+        """A step's stacked input for ``task``'s batches, as the step buffers hold it."""
+        return np.empty((batch_size * (task.num_sources + 1), task.target.feature_dim))
+
     def test_batch_shapes(self):
         task = self.make_task()
         sampler = BatchSampler(task, batch_size=4, seed=np.random.SeedSequence(0))
         for _ in range(5):
-            source_batches, target = sampler.next_batch()
+            source_batches, target = sampler.next_batch(self.stacked(task, 4))
             assert len(source_batches) == 2
             for feats, labels in source_batches:
                 assert feats.shape == (4, 4)
@@ -785,7 +790,7 @@ class TestBatchSampler:
         sampler = BatchSampler(task, batch_size=4, seed=np.random.SeedSequence(1))
         seen = []
         for _ in range(3):  # 3 * 4 = domain size
-            source_batches, _ = sampler.next_batch()
+            source_batches, _ = sampler.next_batch(self.stacked(task, 4))
             seen.append(source_batches[0][0])
         rows = np.vstack(seen)
         source = task.sources[0].features
@@ -796,7 +801,7 @@ class TestBatchSampler:
     def test_wraparound_smaller_domain(self):
         task = self.make_task(sizes=(3,), target_size=10)
         sampler = BatchSampler(task, batch_size=8, seed=np.random.SeedSequence(2))
-        source_batches, _ = sampler.next_batch()
+        source_batches, _ = sampler.next_batch(self.stacked(task, 8))
         feats, labels = source_batches[0]
         assert feats.shape == (8, 4)
         unique = np.unique(feats, axis=0)
@@ -807,11 +812,27 @@ class TestBatchSampler:
         a = BatchSampler(task, batch_size=4, seed=np.random.SeedSequence(3))
         b = BatchSampler(task, batch_size=4, seed=np.random.SeedSequence(3))
         for _ in range(6):
-            (sa, ta), (sb, tb) = a.next_batch(), b.next_batch()
+            (sa, ta), (sb, tb) = (s.next_batch(self.stacked(task, 4)) for s in (a, b))
             assert_array_equal(ta, tb)
             for (fa, la), (fb, lb) in zip(sa, sb):
                 assert_array_equal(fa, fb)
                 assert_array_equal(la, lb)
+
+    def test_batches_are_their_rows_of_the_stacked_input(self):
+        # gathered in place: each domain's rows of the stack, in source order, then
+        # the target's, each row a whole row of its domain with its label
+        task = self.make_task(sizes=(12, 8), target_size=10)
+        sampler = BatchSampler(task, batch_size=4, seed=np.random.SeedSequence(4))
+        out = self.stacked(task, 4)
+        for _ in range(4):  # the 8-row source wraps round
+            source_batches, target = sampler.next_batch(out)
+            batches = source_batches + [(target, None)]
+            for i, ((feats, labels), d) in enumerate(zip(batches, task.sources + [task.target])):
+                assert feats.base is out and feats.ctypes.data == out[4 * i:].ctypes.data
+                assert feats.shape == (4, 4)
+                rows = [int(np.flatnonzero((d.features == row).all(axis=1))[0]) for row in feats]
+                if labels is not None:
+                    assert_array_equal(labels, d.labels[rows])
 
     def test_iterations_per_epoch(self):
         task = self.make_task(sizes=(12, 8), target_size=30)

@@ -16,7 +16,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from msmda.data import BatchSampler, SynthConfig, generate_synthetic, synthetic_task
+from msmda.data import (
+    BatchSampler,
+    DomainDataset,
+    SynthConfig,
+    TransferTask,
+    generate_synthetic,
+    synthetic_task,
+)
 from msmda.errors import DataError, ShapeError, ValidationError
 from msmda.losses import KernelSpec, classification_loss
 from msmda.model import (
@@ -57,19 +64,23 @@ ROOT = Path(__file__).resolve().parents[1]
 BLAS_CORES = {"Haswell": {"avx2", "fma"}, "SkylakeX": {"avx512f", "avx512bw", "avx512vl"},
               "Sandybridge": {"avx"}, "Nehalem": {"sse4_2"}}
 
-# Prints the BLAS core in use and each (extractor depth, rows, k) whose arena
-# bytes after three steps with Adam differ from one process's. Four sources
-# and a target of 35, 37 or 50 rows stack 175, 185 or 250 rows: odd halves
-# and thirds, so a share cut at n * j // k would start at an odd row.
+# Prints the BLAS core in use, each (extractor depth, rows, k) whose arena
+# bytes after three steps with Adam differ from one process's, and each
+# (extractor depth, stacked rows S, target rows) whose chunked predictions
+# differ from one pass's. Four sources and a target of 35, 37 or 50 rows
+# stack 175, 185 or 250 rows: odd halves and thirds, so a share cut at
+# n * j // k would start at an odd row. Evaluation cuts chunks of 168, 184
+# or 248 rows, and 249 target rows end in a one-row chunk unless moved.
 CORE_MATRIX = """
 import json
 import numpy as np
 from msmda.errors import DataError
 from msmda.losses import KernelSpec
-from msmda.model import ModelConfig, branch_lanes, init_model, train_step
+from msmda.model import ModelConfig, _forward, branch_lanes, init_model, predict, train_step
+from msmda.neuralcore import softmax
 from output_digests import blas_core
 
-kernel, differ = KernelSpec(kind="rbf_multiscale"), []
+kernel, differ, chunks = KernelSpec(kind="rbf_multiscale"), [], []
 for depth in (1, 2, 3, 5):
     config = ModelConfig(num_branches=4, input_dim=9, cfe_dims=(12, 11, 10, 9, 8)[:depth],
                          dsfe_dim=6, num_classes=3, rng_seed=depth)
@@ -86,7 +97,15 @@ for depth in (1, 2, 3, 5):
                 assert len(model.step_buffers.lanes) == k - 1
             arenas.append(model.arena.value.tobytes())
         differ += [[depth, 5 * rows, k] for k, a in zip((2, 3, 4), arenas[1:]) if a != arenas[0]]
-print(json.dumps([blas_core(), differ]))
+        s = 5 * rows
+        for m in (1, 2, 7, 8, 9, s - 1, s, s + 1, 2 * s + 1):
+            x = rng.uniform(-1, 1, (m, 9))
+            avg, _, per_branch = predict(model, x)
+            one_pass = [softmax(logits) for _, logits in _forward(model, x)[1]]
+            if [a.tobytes() for a in [avg, *per_branch]] != [
+                    a.tobytes() for a in [np.mean(one_pass, axis=0), *one_pass]]:
+                chunks.append([depth, s, m])
+print(json.dumps([blas_core(), differ, chunks]))
 """
 
 
@@ -418,18 +437,28 @@ class TestStepBuffers:
         assert (tmp_path / "model.ckpt").stat().st_size < 8 * arena_size(TOY) + 64
 
     def test_paper_shape_step_takes_few_page_faults(self):
-        # the buffers are reused, so a warm step faults no fresh pages in for them;
-        # freeing and reallocating them cost about 2,300-3,300 faults a step
+        # the buffers are reused, and the sampler and an evaluation of a paper-shape
+        # target write into them, so a warm step faults no fresh pages in: freeing and
+        # reallocating the step's arrays cost about 2,300-3,300 faults a step, and an
+        # evaluation that made its own target-sized arrays left the two steps after it
+        # 534 and 310
         rng = np.random.default_rng(33)
+        sources = [DomainDataset(rng.uniform(-1, 1, (300, 310)), rng.integers(0, 3, 300), 3,
+                                 (0, i)) for i in range(14)]
+        target = DomainDataset(rng.uniform(-1, 1, (3394, 310)), np.zeros(3394, int), 3, (0, 14))
+        sampler = BatchSampler(TransferTask(sources, target, "paper-shape"), 256,
+                               np.random.SeedSequence(33))
         model = init_model(ModelConfig(num_branches=14, rng_seed=1))
         faults = []
-        for _ in range(5):
-            batches, target = toy_batches(rng, num_branches=14, rows=256, dim=310)
+        for step in range(8):
+            if step == 4:
+                predict(model, target.features)
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            train_step(model, batches, target, alpha=0.5, beta=0.01,
+            batches, target_batch = sampler.next_batch(step_buffers(model, (256,) * 15).x)
+            train_step(model, batches, target_batch, alpha=0.5, beta=0.01,
                        kernel=KernelSpec(kind="rbf_multiscale"))
             faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-        assert np.median(faults[2:]) < 100, faults
+        assert np.median(faults) == 0 and max(faults[4:6]) < 100, faults
 
 
 class TestBranchLanes:
@@ -498,10 +527,11 @@ class TestBranchLanes:
         if proc.returncode == -signal.SIGILL:
             pytest.skip(f"OpenBLAS's {core} kernels die with SIGILL on this CPU")
         assert proc.returncode == 0, proc.stderr
-        used, differ = json.loads(proc.stdout)
+        used, differ, chunks = json.loads(proc.stdout)
         if used != core:
             pytest.skip(f"this numpy's BLAS runs {used} kernels, not {core}")
         assert differ == [], f"[depth, rows, k] unlike one process under {core}"
+        assert chunks == [], f"[depth, S, target rows] evaluated unlike one pass under {core}"
 
 
 class TestTrainStep:
@@ -611,6 +641,54 @@ class TestPredict:
         model = init_model(TOY)
         with pytest.raises(ShapeError):
             predict(model, np.zeros((2, 5)))
+
+    @staticmethod
+    def one_pass(model, x):
+        """Average and per-branch probabilities from one forward over all of ``x``."""
+        per_branch = [softmax(logits) for _, logits in _forward(model, x)[1]]
+        return [np.mean(per_branch, axis=0), *per_branch]
+
+    @pytest.mark.parametrize("config, batch", [
+        (TOY, 8), (TOY, 5), (TOY, 3), (TOY, None),
+        (ModelConfig(num_branches=2, input_dim=310, rng_seed=3), 16),
+    ], ids=["32-rows", "20-rows", "12-rows", "none-held", "paper-widths-48-rows"])
+    def test_chunked_evaluation_equals_one_pass(self, config, batch):
+        # the target runs through the held buffers' S rows in chunks cut on multiples of
+        # 8; 12 held rows are too few to cut so, and they and a model that holds none run
+        # through buffers of a default batch, (branches + 1) x 256 rows
+        rng = np.random.default_rng(41)
+        model, sizes = init_model(config), (batch,) * (config.num_branches + 1)
+        if batch:
+            batches, target = toy_batches(rng, config.num_branches, batch, config.input_dim)
+            train_step(model, batches, target, alpha=0.5, beta=0.01)
+        held = model.step_buffers
+        s = sum(sizes) if batch and sum(sizes) >= 16 else 256 * (config.num_branches + 1)
+        for rows in (1, 2, 7, 8, 9, s - 1, s, s + 1, 2 * s + 1):
+            x = rng.uniform(-2, 2, (rows, config.input_dim))
+            avg, labels, per_branch = predict(model, x)
+            expected = self.one_pass(model, x)
+            assert [a.tobytes() for a in [avg, *per_branch]] == [a.tobytes() for a in expected]
+            assert_array_equal(labels, np.argmax(expected[0], axis=1))
+        assert model.step_buffers is held
+
+    def test_evaluation_makes_no_activation_sized_by_the_target(self):
+        # 4,000 rows through 64-wide layers: one activation is 2 MB; the results
+        # (three branches' probabilities and their average, the labels) and the
+        # input's finiteness check take about 0.5 MB
+        config = ModelConfig(num_branches=3, input_dim=6, cfe_dims=(64, 64), dsfe_dim=4,
+                             num_classes=3, rng_seed=4)
+        rng = np.random.default_rng(42)
+        model = init_model(config)
+        train_step(model, *toy_batches(rng, rows=8), alpha=0.5, beta=0.01)
+        x = rng.uniform(-1, 1, (4000, 6))
+        predict(model, x)
+        tracemalloc.start()
+        try:
+            predict(model, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 4000 * 20, peak
 
     def test_predict_leaves_no_cached_state(self):
         rng = np.random.default_rng(12)
@@ -809,7 +887,7 @@ class TestTrainingBehaviour:
             for epoch in range(200):
                 alpha = 0.0
                 for _ in range(2):
-                    batches, target = sampler.next_batch()
+                    batches, target = sampler.next_batch(step_buffers(model, (20,) * 3).x)
                     train_step(model, batches, target, alpha=alpha, beta=0.0, lr=0.01)
                 _, pred, _ = predict(model, source_feats)
                 if np.all(pred == source_labels):

@@ -17,8 +17,8 @@ command is kept as ``stdout/<name>.txt`` with its exit code.
 The output is one ``sha256  relpath`` line per file, sorted by path. The work
 directory is replaced by ``<root>`` in ``config.json`` files and in captured
 stdout, so the listings of two checkouts can be compared with ``diff``. The
-files go to WORKDIR/matrix (WORKDIR defaults to a fresh temporary directory),
-which must not exist yet.
+files go to WORKDIR/matrix, which must not exist yet; without WORKDIR they go
+to a fresh temporary directory, removed once the listing is printed.
 
 The bytes depend on the BLAS build, so the expected listing is kept per build
 as ``tests/golden/<build_key()>.txt``, and ``tests/test_output_digests.py``
@@ -256,9 +256,12 @@ def run(argv: list[str]) -> int:
     if len(argv) > 1 or argv[:1] and argv[0].startswith("-"):
         print("usage: python tools/output_digests.py [WORKDIR | --all-cores]", file=sys.stderr)
         return 2
-    root = Path(argv[0] if argv else tempfile.mkdtemp(prefix="msmda-digests-")) / "matrix"
-    run_matrix(root.resolve())
-    print("\n".join(digests(root.resolve())))
+    if not argv:  # a fresh temporary directory, removed once the listing is printed
+        with tempfile.TemporaryDirectory(prefix="msmda-digests-") as workdir:
+            return run([workdir])
+    root = (Path(argv[0]) / "matrix").resolve()
+    run_matrix(root)
+    print("\n".join(digests(root)))
     print(f"build key: {build_key()}", file=sys.stderr)
     return 0
 
