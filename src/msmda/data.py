@@ -354,14 +354,13 @@ class BatchSampler:
         """One (source_batches, target_features) tuple; sources carry labels.
         The features are views of ``out``, the step's stacked input, into whose
         ``batch_size`` rows per domain (sources, then target) they are gathered."""
-        b, labels = self.batch_size, []
-        rows = [out[i * b:(i + 1) * b] for i in range(self.task.num_sources + 1)]
-        for i, (d, r) in enumerate(zip([*self.task.sources, self.task.target], rows)):
-            idx = self._take(i)
+        b, domains = self.batch_size, [*self.task.sources, self.task.target]
+        rows = [out[i * b:(i + 1) * b] for i in range(len(domains))]
+        idx = [self._take(i) for i in range(len(domains))]
+        for d, r, i in zip(domains, rows, idx):
             # a permutation's indices need no clipping; mode "raise" would fill a copy of out
-            np.take(d.features, idx, axis=0, out=r, mode="clip")
-            labels.append(d.labels[idx])
-        return list(zip(rows, labels[:-1])), rows[-1]
+            np.take(d.features, i, axis=0, out=r, mode="clip")
+        return [(r, d.labels[i]) for d, r, i in zip(self.task.sources, rows, idx)], rows[-1]
 
 
 def _parse_rows(path, lines: list[str], dim: int, num_classes: int | None):

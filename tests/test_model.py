@@ -439,9 +439,9 @@ class TestStepBuffers:
     def test_paper_shape_step_takes_few_page_faults(self):
         # the buffers are reused, and the sampler and an evaluation of a paper-shape
         # target write into them, so a warm step faults no fresh pages in: freeing and
-        # reallocating the step's arrays cost about 2,300-3,300 faults a step, and an
-        # evaluation that made its own target-sized arrays left the two steps after it
-        # 534 and 310
+        # reallocating the step's arrays cost about 2,300-3,300 faults a step, and in a
+        # paper-shape fold an evaluation that made its own target-sized arrays left the
+        # two steps after it 534 and 310
         rng = np.random.default_rng(33)
         sources = [DomainDataset(rng.uniform(-1, 1, (300, 310)), rng.integers(0, 3, 300), 3,
                                  (0, i)) for i in range(14)]
